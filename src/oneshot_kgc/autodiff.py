@@ -9,6 +9,7 @@ are replayed in exact reverse execution order.
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import json
 import math
 import os
@@ -21,23 +22,23 @@ from .errors import NumericError
 # When True, every op output is checked for NaN/Inf and trips NumericError.
 CHECK_FINITE = True
 
-_grad_enabled = True
+# Grad mode is per thread (and per async task), so one thread's no_grad block
+# never switches recording off for another.
+_grad_enabled = contextvars.ContextVar("grad_enabled", default=True)
 
 
 @contextlib.contextmanager
 def no_grad():
     """Disable graph recording inside the block (evaluation fast path)."""
-    global _grad_enabled
-    prev = _grad_enabled
-    _grad_enabled = False
+    token = _grad_enabled.set(False)
     try:
         yield
     finally:
-        _grad_enabled = prev
+        _grad_enabled.reset(token)
 
 
 def grad_enabled():
-    return _grad_enabled
+    return _grad_enabled.get()
 
 
 class Tensor:
@@ -88,7 +89,7 @@ def _make(data, op, parents, backward):
         raise NumericError("non-finite values produced by op '%s'" % op)
     out = Tensor(data)
     out._op = op
-    if _grad_enabled and any(_tracked(p) for p in parents):
+    if _grad_enabled.get() and any(_tracked(p) for p in parents):
         out._parents = tuple(parents)
         out._backward = backward
     return out
@@ -359,8 +360,7 @@ def rowwise_cosine(x, s):
     """Cosine similarity between each row of ``x`` and the vector ``s``.
 
     Rows with zero norm (or a zero-norm ``s``) score -1 and receive no
-    gradient; callers can inspect ``out_zero_norm_rows`` stashed by the
-    most recent call via the returned tensor's backing info.
+    gradient. Returns ``(scores, number of such rows)``.
     """
     x, s = _to_tensor(x), _to_tensor(s)
     if x.ndim != 2 or s.ndim != 1 or x.shape[1] != s.shape[0]:

@@ -11,7 +11,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -19,8 +18,7 @@ from . import synthetic
 from .config import RunConfig, substream
 from .dataset import build_dataset, load_dataset
 from .errors import ConfigError, DataError, NumericError
-from .evaluator import (RankingReport, embedding_score_fn, evaluate_tasks,
-                        matcher_score_fn)
+from .evaluator import embedding_score_fn, evaluate_tasks, matcher_score_fn
 from .graph_store import build_neighbor_index, load_triples
 from .matcher import Matcher, load_matcher
 from .meta_trainer import train
@@ -169,23 +167,12 @@ def cmd_evaluate(args):
                                      max_neighbors=matcher.max_neighbors, seed=cfg.seed)
         score_fn = matcher_score_fn(matcher, graph,
                                     references_by_task=refs if args.shots > 1 else None)
-        if args.workers <= 1:
-            matcher.enable_eval_cache()
     elif args.table:
         score_fn = embedding_score_fn(load_table(args.table))
     else:
         raise ConfigError("evaluate requires --checkpoint or --table")
 
-    if args.workers > 1:
-        report = RankingReport()
-        with ThreadPoolExecutor(max_workers=args.workers) as pool:
-            partials = pool.map(
-                lambda t: evaluate_tasks([t], score_fn, ds.vocab,
-                                         filter_known=args.filter_known), tasks)
-        for part in partials:
-            report.results.extend(part.results)
-    else:
-        report = evaluate_tasks(tasks, score_fn, ds.vocab, filter_known=args.filter_known)
+    report = evaluate_tasks(tasks, score_fn, ds.vocab, filter_known=args.filter_known)
 
     print(report.to_text())
     if args.out:
@@ -243,7 +230,8 @@ def build_parser():
     p.add_argument("--shots", type=int, default=1)
     p.add_argument("--filter-known", action="store_true",
                    help="drop other known-true tails before ranking")
-    p.add_argument("--workers", type=int, default=1)
+    # accepted for old command lines and ignored: evaluation is single-threaded
+    p.add_argument("--workers", type=int, default=1, help=argparse.SUPPRESS)
     p.add_argument("--out", help="write the JSON report here")
     _add_config_overrides(p)
     p.set_defaults(func=cmd_evaluate)

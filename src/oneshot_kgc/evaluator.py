@@ -111,11 +111,12 @@ def aggregate_kshot(score_vectors):
 def evaluate_tasks(tasks, score_fn, vocab, filter_known=False):
     """Rank every query of every task with ``score_fn`` and build a report.
 
-    ``score_fn(task, head, candidates) -> score array`` must return one score
-    per candidate (k-shot fusion happens inside the score function). With
-    ``filter_known``, candidates that are true tails of the same (head,
-    relation) in the task's triple set, other than the query's own truth, are
-    removed before ranking.
+    ``score_fn(task, queries) -> list of score arrays`` is called once per
+    task with the task's ``(head, candidates)`` list and must return one score
+    vector per query, one score per candidate (k-shot fusion happens inside
+    the score function). With ``filter_known``, candidates that are true tails
+    of the same (head, relation) in the task's triple set, other than the
+    query's own truth, are removed before scoring.
     """
     report = RankingReport()
     for task in tasks:
@@ -123,6 +124,7 @@ def evaluate_tasks(tasks, score_fn, vocab, filter_known=False):
         if filter_known:
             for h, r, t in task.all_triples():
                 known.setdefault(h, set()).add(t)
+        queries = []
         for head, truth, candidates in task.queries:
             if truth not in candidates:
                 raise DataError("truth entity missing from its candidate set")
@@ -130,9 +132,19 @@ def evaluate_tasks(tasks, score_fn, vocab, filter_known=False):
             if filter_known:
                 drop = known.get(head, set()) - {truth}
                 cands = [c for c in candidates if c not in drop]
-            scores = score_fn(task, head, cands)
+            queries.append((head, cands))
+        score_vectors = score_fn(task, queries)
+        rel_name = vocab.id2rel[task.relation]
+        if len(score_vectors) != len(queries):
+            raise DataError("scorer returned %d score vectors for the %d queries of %s"
+                            % (len(score_vectors), len(queries), rel_name))
+        for (head, truth, _), (_, cands), scores in zip(task.queries, queries, score_vectors):
+            scores = np.asarray(scores, dtype=np.float64)
+            if scores.shape != (len(cands),):
+                raise DataError("scorer returned %s scores for %d candidates of %s"
+                                % (scores.shape, len(cands), rel_name))
             rank = rank_from_scores(scores, cands.index(truth))
-            report.add(QueryResult(vocab.id2rel[task.relation], vocab.id2ent[head],
+            report.add(QueryResult(rel_name, vocab.id2ent[head],
                                    vocab.id2ent[truth], rank, len(cands)))
     return report
 
@@ -142,19 +154,31 @@ def matcher_score_fn(matcher, graph, references_by_task=None):
 
     ``references_by_task`` maps relation-id -> list of (head, tail) reference
     pairs for k-shot evaluation; by default each task's own single frozen
-    reference is used.
+    reference is used. Each task's distinct entities (query heads, candidates
+    and references) are encoded in one call, in ascending id order, so the
+    scores do not depend on candidate order; each query is then matched
+    against each reference and the per-reference scores are fused.
     """
-    def score_fn(task, head, candidates):
+    def score_fn(task, queries):
         refs = (references_by_task or {}).get(
             task.relation, [(task.reference.head, task.reference.tail)])
+        ids = np.unique(np.concatenate(
+            [np.ravel(refs), [h for h, _ in queries]] + [c for _, c in queries]
+        ).astype(np.intp))
         with ad.no_grad():
-            per_ref = []
-            for ref in refs:
-                heads = np.full(len(candidates), head, dtype=np.intp)
-                scores = matcher.score_pairs(ref, heads, np.asarray(candidates, dtype=np.intp),
-                                             graph, train=False)
-                per_ref.append(scores.data)
-        return aggregate_kshot(per_ref)
+            enc = matcher.encode_entities(ids, graph).data
+
+            def rows(entities):
+                return enc[np.searchsorted(ids, entities)]
+
+            supports = [ad.Tensor(np.concatenate([rows(h), rows(t)])) for h, t in refs]
+            out = []
+            for head, cands in queries:
+                tails = rows(cands)
+                pairs = ad.Tensor(np.hstack([np.broadcast_to(rows(head), tails.shape), tails]))
+                out.append(aggregate_kshot([matcher.match_scores(s, pairs)[0].data
+                                            for s in supports]))
+        return out
     return score_fn
 
 
@@ -162,6 +186,6 @@ def embedding_score_fn(table):
     """Score candidates directly with a baseline embedding model."""
     from .embeddings import score_candidates
 
-    def score_fn(task, head, candidates):
-        return score_candidates(table, head, task.relation, candidates)
+    def score_fn(task, queries):
+        return [score_candidates(table, head, task.relation, cands) for head, cands in queries]
     return score_fn

@@ -40,7 +40,6 @@ class Matcher:
         self.use_neighbor_encoder = use_neighbor_encoder
         self.use_matching_processor = use_matching_processor
         self.use_scaling_factor = use_scaling_factor
-        self.zero_norm_count = 0
 
         rng = np.random.default_rng(seed)
         self.w_c = ad.Tensor(ad.glorot_uniform(rng, 2 * dim, dim), requires_grad=True)
@@ -51,8 +50,6 @@ class Matcher:
         self.ent_emb = None
         self.rel_emb = None
         self.embeddings_trainable = True
-        self._rng = rng
-        self._eval_cache = None
 
     # ------------------------------------------------------------------
     # embedding table
@@ -80,18 +77,12 @@ class Matcher:
             raise ConfigError("no embedding table attached")
 
     # ------------------------------------------------------------------
-    # evaluation cache
-
-    def enable_eval_cache(self):
-        self._eval_cache = {}
-
-    def disable_eval_cache(self):
-        self._eval_cache = None
-
-    # ------------------------------------------------------------------
     # neighbor encoder
+    #
+    # Methods taking ``rng`` apply dropout, drawing from it, exactly when it
+    # is given (training); without it they are deterministic and draw nothing.
 
-    def encode_entities(self, entity_ids, graph, train=False):
+    def encode_entities(self, entity_ids, graph, rng=None):
         """Encode a batch of entities -> (B, d) tensor."""
         self._require_table()
         entity_ids = np.asarray(entity_ids, dtype=np.intp)
@@ -104,76 +95,54 @@ class Matcher:
         vr = ad.gather_rows(self.rel_emb, r_flat)
         ve = ad.gather_rows(self.ent_emb, e_flat)
         x = ad.concat(vr, ve)
-        x = ad.dropout(x, self.dropout, self._rng, train)
+        x = ad.dropout(x, self.dropout, rng, rng is not None)
         mask = ad.Tensor((r_flat >= 0).astype(np.float64)[:, None])
         affine = ad.mul(ad.add(ad.matmul(x, self.w_c), self.b_c), mask)
         pooled = ad.block_mean_rows(affine, cap, counts[entity_ids],
                                     scale=self.use_scaling_factor)
         return ad.tanh(pooled)
 
-    def encode_neighbors(self, entity, graph, train=False):
+    def encode_neighbors(self, entity, graph):
         """Single-entity convenience wrapper -> 1-D d-vector."""
-        out = self.encode_entities([entity], graph, train=train)
+        out = self.encode_entities([entity], graph)
         return ad.reshape(out, (self.dim,))
 
-    def pair_representation(self, heads, tails, graph, train=False):
+    def pair_representation(self, heads, tails, graph, rng=None):
         """Concatenated neighbor encodings of (head, tail) pairs -> (B, 2d)."""
-        if self._eval_cache is not None and not train:
-            h = self._cached_encode(heads, graph)
-            t = self._cached_encode(tails, graph)
-        else:
-            h = self.encode_entities(heads, graph, train=train)
-            t = self.encode_entities(tails, graph, train=train)
+        h = self.encode_entities(heads, graph, rng=rng)
+        t = self.encode_entities(tails, graph, rng=rng)
         return ad.concat(h, t)
-
-    def _cached_encode(self, entity_ids, graph):
-        entity_ids = np.asarray(entity_ids, dtype=np.intp)
-        missing = [e for e in np.unique(entity_ids) if e not in self._eval_cache]
-        if missing:
-            enc = self.encode_entities(missing, graph, train=False)
-            for row, e in enumerate(missing):
-                self._eval_cache[e] = enc.data[row]
-        return ad.Tensor(np.stack([self._eval_cache[e] for e in entity_ids]))
 
     # ------------------------------------------------------------------
     # matching processor
 
     def match_scores(self, support, queries):
-        """Score each query row of (B, 2d) against the 1-D support vector."""
+        """Score each query row of (B, 2d) against the 1-D support vector.
+
+        Returns ``(scores, n_zero)``: a (B,) tensor and the number of rows
+        that scored -1 because a cosine operand had zero norm.
+        """
         if support.ndim != 1 or support.shape[0] != 2 * self.dim:
             raise NumericError("support vector must have length %d" % (2 * self.dim))
         if not self.use_matching_processor:
-            scores, zeros = ad.rowwise_cosine(queries, support)
-            self.zero_norm_count += zeros
-            return scores
+            return ad.rowwise_cosine(queries, support)
         batch = queries.shape[0]
         s_rows = ad.broadcast_rows(support, batch)
         h = ad.Tensor(np.zeros((batch, self.hidden)))
         c = ad.Tensor(np.zeros((batch, self.hidden)))
-        scores = None
         for _ in range(self.steps):
             hin = ad.concat(h, s_rows)
             h_prime, c = ad.lstm_cell(queries, hin, c, self.cell)
             h = ad.add(h_prime, queries)
-            scores, zeros = ad.rowwise_cosine(h, support)
-        self.zero_norm_count += zeros
-        return scores
+        return ad.rowwise_cosine(h, support)
 
-    def match_score(self, support, query):
-        """Scalar similarity between one support and one query pair vector."""
-        q = query if isinstance(query, ad.Tensor) else ad.Tensor(query)
-        scores = self.match_scores(support if isinstance(support, ad.Tensor)
-                                   else ad.Tensor(support),
-                                   ad.reshape(q, (1, 2 * self.dim)))
-        return ad.reshape(scores, ())
-
-    def score_pairs(self, reference, heads, tails, graph, train=False):
+    def score_pairs(self, reference, heads, tails, graph, rng=None):
         """End-to-end: encode reference pair and query pairs, return scores."""
         ref_h, ref_t = reference
-        s = self.pair_representation([ref_h], [ref_t], graph, train=train)
+        s = self.pair_representation([ref_h], [ref_t], graph, rng=rng)
         s = ad.reshape(s, (2 * self.dim,))
-        q = self.pair_representation(heads, tails, graph, train=train)
-        return self.match_scores(s, q)
+        q = self.pair_representation(heads, tails, graph, rng=rng)
+        return self.match_scores(s, q)[0]
 
 
 def hinge_loss(score_pos, score_neg, gamma):

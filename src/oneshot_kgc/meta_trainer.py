@@ -143,12 +143,11 @@ def train(matcher, graph, train_tasks, valid_tasks, vocab, config,
         epoch = step // len(relations)
         for relation in _epoch_order(config.seed, epoch, relations)[step % len(relations):]:
             rng = _episode_rng(config.seed, step)
-            matcher._rng = rng
             episode = sample_episode(pool.get(relation), config.batch_size, rng)
             step += 1
             if episode is None:
                 continue
-            loss_value = _episode_step(matcher, graph, episode, opt, config)
+            loss_value = _episode_step(matcher, graph, episode, opt, config, rng)
             if not np.isfinite(loss_value):
                 _dump_diagnostics(checkpoint_path, step, episode, loss_value)
                 raise NumericError("non-finite loss at step %d (relation %s)"
@@ -195,17 +194,17 @@ def _param_names(matcher):
     return names
 
 
-def _episode_step(matcher, graph, episode, opt, config):
+def _episode_step(matcher, graph, episode, opt, config, rng):
     s = matcher.pair_representation([episode.reference.head], [episode.reference.tail],
-                                    graph, train=True)
+                                    graph, rng=rng)
     s = ad.reshape(s, (2 * matcher.dim,))
     pos_h = np.array([h for h, _ in episode.positives], dtype=np.intp)
     pos_t = np.array([t for _, t in episode.positives], dtype=np.intp)
     neg_t = np.array([t for _, t in episode.negatives], dtype=np.intp)
-    q_pos = matcher.pair_representation(pos_h, pos_t, graph, train=True)
-    q_neg = matcher.pair_representation(pos_h, neg_t, graph, train=True)
-    pos_scores = matcher.match_scores(s, q_pos)
-    neg_scores = matcher.match_scores(s, q_neg)
+    q_pos = matcher.pair_representation(pos_h, pos_t, graph, rng=rng)
+    q_neg = matcher.pair_representation(pos_h, neg_t, graph, rng=rng)
+    pos_scores, _ = matcher.match_scores(s, q_pos)
+    neg_scores, _ = matcher.match_scores(s, q_neg)
     loss = hinge_loss(pos_scores, neg_scores, config.margin)
     opt.zero_grad()
     ad.backward(loss)
@@ -214,12 +213,7 @@ def _episode_step(matcher, graph, episode, opt, config):
 
 
 def _validate(matcher, graph, valid_tasks, vocab):
-    matcher.enable_eval_cache()
-    try:
-        report = evaluate_tasks(valid_tasks, matcher_score_fn(matcher, graph), vocab)
-    finally:
-        matcher.disable_eval_cache()
-    return report.metrics()
+    return evaluate_tasks(valid_tasks, matcher_score_fn(matcher, graph), vocab).metrics()
 
 
 def _save_state(state_path, names, opt, step, best_metric, best_step):

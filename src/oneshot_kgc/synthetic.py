@@ -99,8 +99,8 @@ def oracle_score_fn(dataset):
     tail's beacon, else 0. Independent of the learned model."""
     beacons = beacon_map(dataset.background, dataset.vocab)
 
-    def score_fn(task, head, candidates):
+    def score_fn(task, queries):
         target = beacons.get(task.reference.tail)
-        return np.array([1.0 if target is not None and beacons.get(c) == target else 0.0
-                         for c in candidates])
+        return [np.array([1.0 if target is not None and beacons.get(c) == target else 0.0
+                          for c in cands]) for _, cands in queries]
     return score_fn

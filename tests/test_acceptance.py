@@ -103,8 +103,9 @@ class TestC2Properties:
     def _score_bounds(self):
         rng = np.random.default_rng(3)
         m = Matcher(5, steps=3, seed=3)
-        scores = m.match_scores(ad.Tensor(rng.normal(size=10)),
-                                ad.Tensor(rng.normal(size=(200, 10)))).data
+        scores, _ = m.match_scores(ad.Tensor(rng.normal(size=10)),
+                                   ad.Tensor(rng.normal(size=(200, 10))))
+        scores = scores.data
         assert np.all(scores >= -1.0) and np.all(scores <= 1.0)
         print("  [PASS] match scores bounded in [-1, 1] (200 random queries)")
 
@@ -115,7 +116,7 @@ class TestC2Properties:
         rng = np.random.default_rng(4)
         s = rng.normal(size=8)
         q = rng.normal(size=(6, 8))
-        got = m.match_scores(ad.Tensor(s), ad.Tensor(q)).data
+        got = m.match_scores(ad.Tensor(s), ad.Tensor(q))[0].data
         want = q @ s / (np.linalg.norm(q, axis=1) * np.linalg.norm(s))
         assert np.max(np.abs(got - want)) <= 1e-12
         print("  [PASS] zero-weight recurrent cell reduces match score to cosine")
@@ -254,11 +255,7 @@ class TestC4SyntheticEndToEnd:
         assert oracle["hits1"] == 1.0 and oracle["mrr"] == 1.0
 
         matcher, _, best_step, seconds = trained_run
-        matcher.enable_eval_cache()
-        try:
-            m = filtered_metrics(ds, matcher_score_fn(matcher, graph))
-        finally:
-            matcher.disable_eval_cache()
+        m = filtered_metrics(ds, matcher_score_fn(matcher, graph))
         assert best_step <= 5000
         assert seconds < 600.0
         assert m["hits1"] >= 0.90
@@ -271,11 +268,7 @@ class TestC4SyntheticEndToEnd:
 class TestC5RelativeOrdering:
     def test_full_model_beats_baseline_and_ablation(self, ds, graph, trained_run):
         matcher, _, _, _ = trained_run
-        matcher.enable_eval_cache()
-        try:
-            full = filtered_metrics(ds, matcher_score_fn(matcher, graph))
-        finally:
-            matcher.disable_eval_cache()
+        full = filtered_metrics(ds, matcher_score_fn(matcher, graph))
 
         baseline_table, _ = train_embeddings(
             _baseline_triples(ds), ds.vocab.n_entities, ds.vocab.n_relations,
@@ -288,7 +281,6 @@ class TestC5RelativeOrdering:
             ds.background, ds.vocab.n_entities, ds.vocab.n_relations,
             model="TransE", dim=32, epochs=60, lr=0.02, seed=1)[0],
             trainable=False)
-        ablated.enable_eval_cache()
         no_parts = filtered_metrics(ds, matcher_score_fn(ablated, graph))
 
         assert full["mrr"] - baseline["mrr"] >= 0.05

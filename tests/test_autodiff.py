@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -152,6 +153,44 @@ class TestBackward:
             num = numeric_grad(lambda: run().item(), t.data)
             assert rel_err(t.grad, num) < 1e-5
             t.zero_grad()
+
+
+class TestGradMode:
+    def test_no_grad_blocks_in_overlapping_threads(self):
+        # both threads enter no_grad before either leaves, then the first one
+        # leaves first: a process-wide flag would be restored to False by the
+        # second, which saved it while the first block was open
+        inside = threading.Barrier(2)
+        first_left = threading.Event()
+        seen = []
+
+        def worker(first):
+            with ad.no_grad():
+                inside.wait(timeout=10)
+                seen.append(ad.grad_enabled())
+                if not first:
+                    first_left.wait(timeout=10)
+            if first:
+                first_left.set()
+
+        threads = [threading.Thread(target=worker, args=(first,)) for first in (True, False)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+            assert not t.is_alive()
+        assert seen == [False, False]
+        assert ad.grad_enabled()
+        x = ad.Tensor([1.0, -2.0], requires_grad=True)
+        ad.backward(ad.sum_all(ad.mul(x, x)))
+        assert x.grad.tolist() == [2.0, -4.0]
+
+    def test_no_grad_restores_on_exit(self):
+        with ad.no_grad():
+            with ad.no_grad():
+                assert not ad.grad_enabled()
+            assert not ad.grad_enabled()
+        assert ad.grad_enabled()
 
 
 class TestAdam:

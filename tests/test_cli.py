@@ -89,11 +89,30 @@ class TestPipeline:
                      "--split", "test"]) == 0
         assert "overall (micro)" in capsys.readouterr().out
 
-    def test_evaluate_kshot_and_workers(self, workdir):
+    def test_evaluate_kshot(self, workdir):
+        out = str(workdir["root"] / "report-3shot.json")
         code = main(["evaluate", "--dataset", workdir["ds"], "--checkpoint",
                      os.path.join(workdir["run"], "matcher"), "--split", "test",
-                     "--shots", "3", "--workers", "2"])
+                     "--shots", "3", "--out", out])
         assert code == 0
+        with open(out) as fh:
+            payload = json.load(fh)
+        assert 0.0 <= payload["overall"]["mrr"] <= 1.0
+
+    def test_evaluate_workers_flag_is_accepted_and_ignored(self, workdir, capsys):
+        reports = []
+        for extra in ([], ["--workers", "2"]):
+            out = str(workdir["root"] / ("report-workers%d.json" % len(extra)))
+            assert main(["evaluate", "--dataset", workdir["ds"], "--checkpoint",
+                         os.path.join(workdir["run"], "matcher"), "--split", "test",
+                         "--shots", "3", "--out", out] + extra) == 0
+            with open(out) as fh:
+                reports.append(fh.read())
+        assert reports[0] == reports[1]
+        capsys.readouterr()
+        with pytest.raises(SystemExit):
+            main(["evaluate", "--help"])
+        assert "--workers" not in capsys.readouterr().out
 
     def test_config_file_plus_override(self, workdir, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -1,12 +1,17 @@
+import copy
 import json
 
 import numpy as np
 import pytest
 
+from oneshot_kgc.dataset import TaskSet
+from oneshot_kgc.embeddings import random_table
 from oneshot_kgc.errors import DataError
 from oneshot_kgc.evaluator import (QueryResult, RankingReport, aggregate_kshot,
                                    compute_metrics, evaluate_tasks,
-                                   rank_from_scores)
+                                   matcher_score_fn, rank_from_scores)
+from oneshot_kgc.graph_store import BackgroundGraph
+from oneshot_kgc.matcher import Matcher
 
 
 class TestRanking:
@@ -127,3 +132,92 @@ class TestEvaluateTasks:
         task.queries[0] = (head, truth, [c for c in cands if c != truth])
         with pytest.raises(DataError, match="truth"):
             evaluate_tasks([task], self.oracle(ds), ds.vocab)
+
+    def test_wrong_number_of_score_vectors_rejected(self, ds):
+        task = ds.tasks_for("test")[0]
+
+        def short(task, queries):
+            return [np.zeros(len(c)) for _, c in queries[:-1]]
+        with pytest.raises(DataError, match="score vectors"):
+            evaluate_tasks([task], short, ds.vocab)
+
+    def test_wrong_length_score_vector_rejected(self, ds):
+        task = ds.tasks_for("test")[0]
+
+        def truncated(task, queries):
+            return [np.zeros(len(c) - 1) for _, c in queries]
+        with pytest.raises(DataError, match="candidates"):
+            evaluate_tasks([task], truncated, ds.vocab)
+
+
+class TestMatcherScoreFn:
+    """The per-task scorer against per-query ``Matcher.score_pairs``."""
+
+    @pytest.fixture
+    def case(self, ds, graph):
+        # the first query also ranks its own head and an entity with no
+        # background neighbors (it encodes to the zero vector)
+        task = copy.deepcopy(ds.tasks_for("test")[0])
+        head, truth, cands = task.queries[0]
+        known = {t for h, _, t in task.all_triples() if h == head}
+        isolated = next(c for c in cands if c not in known | {head})
+        task.queries[0] = (head, truth, sorted(set(cands) | {head}))
+        lists = list(graph.neighbors)
+        lists[isolated] = []
+        matcher = Matcher(8, steps=2, seed=3)
+        matcher.attach_table(random_table(ds.vocab.n_entities, ds.vocab.n_relations, 8,
+                                          seed=3), trainable=False)
+        return task, matcher, BackgroundGraph(lists, graph.max_neighbors), head, isolated
+
+    @staticmethod
+    def recording(score_fn):
+        calls = []
+
+        def wrapped(task, queries):
+            out = score_fn(task, queries)
+            calls.append((queries, out))
+            return out
+        return wrapped, calls
+
+    @staticmethod
+    def per_query(matcher, graph, refs, head, cands):
+        heads = np.full(len(cands), head)
+        return aggregate_kshot([matcher.score_pairs(ref, heads, cands, graph).data
+                                for ref in refs])
+
+    def check_against_score_pairs(self, matcher, graph, calls, refs):
+        for queries, out in calls:
+            assert len(out) == len(queries)
+            for (head, cands), scores in zip(queries, out):
+                want = self.per_query(matcher, graph, refs, head, cands)
+                assert np.max(np.abs(scores - want)) <= 1e-12
+
+    def test_one_shot_filtered_matches_score_pairs(self, ds, case):
+        task, matcher, graph, head, isolated = case
+        score_fn, calls = self.recording(matcher_score_fn(matcher, graph))
+        evaluate_tasks([task], score_fn, ds.vocab, filter_known=True)
+        (queries, out), = calls
+        assert sum(len(c) for _, c in queries) < sum(len(c) for _, _, c in task.queries)
+        first = dict(zip(queries[0][1], out[0]))
+        assert head in first and isolated in first
+        ref = (task.reference.head, task.reference.tail)
+        self.check_against_score_pairs(matcher, graph, calls, [ref])
+
+    def test_three_shot_matches_score_pairs(self, ds, case):
+        task, matcher, graph, _, _ = case
+        refs = [(task.reference.head, task.reference.tail)] + \
+            [(h, t) for h, t, _ in task.queries[-2:]]
+        trimmed = TaskSet(task.relation, task.reference, task.queries[:-2])
+        score_fn, calls = self.recording(
+            matcher_score_fn(matcher, graph, references_by_task={task.relation: refs}))
+        evaluate_tasks([trimmed], score_fn, ds.vocab)
+        self.check_against_score_pairs(matcher, graph, calls, refs)
+
+    def test_reversed_candidates_give_same_ranks(self, ds, case):
+        task, matcher, graph, _, _ = case
+        reversed_task = TaskSet(task.relation, task.reference,
+                                [(h, t, c[::-1]) for h, t, c in task.queries])
+        score_fn = matcher_score_fn(matcher, graph)
+        a = evaluate_tasks([task], score_fn, ds.vocab, filter_known=True)
+        b = evaluate_tasks([reversed_task], score_fn, ds.vocab, filter_known=True)
+        assert a.ranks == b.ranks
