@@ -1,9 +1,10 @@
 """Minimal reverse-mode automatic differentiation over 1-D/2-D float64 arrays.
 
-Just enough machinery for the matching model: affine maps, concatenation,
-pointwise nonlinearities, row reductions, cosine similarity, dropout and an
-LSTM cell composed from the primitives. Gradients accumulate additively and
-are replayed in exact reverse execution order.
+Just enough machinery for the matching model: matrix products, concatenation
+and column slices, pointwise nonlinearities, segment means, row-wise cosine
+similarity, dropout and a fused-gate LSTM cell composed from the primitives.
+Gradients accumulate additively and are replayed in exact reverse execution
+order.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError
+from .errors import DataError, NumericError
 
 # When True, every op output is checked for NaN/Inf and trips NumericError.
 CHECK_FINITE = True
@@ -217,11 +218,6 @@ def matmul(a, b):
     return _make(a.data @ b.data, "matmul", (a, b), backward)
 
 
-def affine(x, w, b):
-    """x @ w + b with bias broadcast over rows."""
-    return add(matmul(x, w), b)
-
-
 def concat(a, b):
     """Concatenate along the last axis (columns for 2-D, entries for 1-D)."""
     a, b = _to_tensor(a), _to_tensor(b)
@@ -255,19 +251,6 @@ def reshape(x, shape):
     return _make(x.data.reshape(shape), "reshape", (x,), backward)
 
 
-def broadcast_rows(s, n):
-    """Tile a 1-D vector into n identical rows; backward sums over rows."""
-    s = _to_tensor(s)
-    if s.ndim != 1:
-        raise NumericError("broadcast_rows expects a 1-D tensor, got %s" % (s.shape,))
-
-    def backward(g):
-        if _tracked(s):
-            _accum(s, g.sum(axis=0))
-
-    return _make(np.broadcast_to(s.data, (n, s.shape[0])).copy(), "broadcast_rows", (s,), backward)
-
-
 def sum_all(x):
     x = _to_tensor(x)
 
@@ -276,20 +259,6 @@ def sum_all(x):
             _accum(x, np.broadcast_to(g, x.shape).copy())
 
     return _make(np.asarray(x.data.sum()), "sum_all", (x,), backward)
-
-
-def mean_rows(x):
-    """Mean over rows of a 2-D tensor -> 1-D vector."""
-    x = _to_tensor(x)
-    if x.ndim != 2:
-        raise NumericError("mean_rows expects a 2-D tensor, got %s" % (x.shape,))
-    n = x.shape[0]
-
-    def backward(g):
-        if _tracked(x):
-            _accum(x, np.broadcast_to(g / n, x.shape).copy())
-
-    return _make(x.data.mean(axis=0), "mean_rows", (x,), backward)
 
 
 def gather_rows(table, indices):
@@ -311,43 +280,66 @@ def gather_rows(table, indices):
     return _make(out_data, "gather_rows", (table,), backward)
 
 
-def block_mean_rows(x, block, counts, scale=True):
-    """Reduce consecutive row blocks of fixed length to one row each.
-
-    ``x`` has shape (B*block, d); block i covers rows [i*block, (i+1)*block).
-    ``counts[i]`` is the number of real (non-dummy) rows in block i. With
-    ``scale`` the block sum is divided by counts[i]; otherwise the raw sum is
-    returned. Blocks with count 0 reduce to zero rows either way.
-    """
+def columns(x, start, stop):
+    """Columns ``start:stop`` of a 2-D tensor."""
     x = _to_tensor(x)
-    counts = np.asarray(counts, dtype=np.float64)
-    nblocks = counts.shape[0]
-    if x.ndim != 2 or x.shape[0] != nblocks * block:
-        raise NumericError("block_mean_rows: shape %s does not match %d blocks of %d"
-                           % (x.shape, nblocks, block))
-    sums = x.data.reshape(nblocks, block, x.shape[1]).sum(axis=1)
-    denom = np.where(counts > 0, counts, 1.0)[:, None]
-    out_data = sums / denom if scale else sums
-    out_data = np.where(counts[:, None] > 0, out_data, 0.0)
+    if x.ndim != 2 or not 0 <= start < stop <= x.shape[1]:
+        raise NumericError("columns %d:%d of a tensor of shape %s" % (start, stop, x.shape))
 
     def backward(g):
         if _tracked(x):
-            gb = g / denom if scale else g
-            gb = np.where(counts[:, None] > 0, gb, 0.0)
-            _accum(x, np.repeat(gb, block, axis=0))
+            if x.grad is None:
+                x.grad = np.zeros_like(x.data)
+            x.grad[:, start:stop] += g
 
-    return _make(out_data, "block_mean_rows", (x,), backward)
+    return _make(x.data[:, start:stop], "columns", (x,), backward)
 
 
-def dropout(x, rate, rng, train):
-    """Inverted dropout: scales by 1/keep at train time, identity otherwise."""
+def segment_mean(x, counts, scale=True):
+    """Reduce consecutive row segments of ``x`` to one row each.
+
+    Segment i covers the next ``counts[i]`` rows, so ``x`` has ``sum(counts)``
+    rows. With ``scale`` the segment sum is divided by counts[i]; otherwise
+    the raw sum is returned. Empty segments reduce to zero rows either way.
+    """
+    x = _to_tensor(x)
+    counts = np.asarray(counts, dtype=np.intp)
+    if x.ndim != 2 or counts.ndim != 1 or np.any(counts < 0) or x.shape[0] != counts.sum():
+        raise NumericError("segment_mean: shape %s does not match segment sizes summing to %d"
+                           % (x.shape, counts.sum()))
+    nonempty = counts > 0
+    out_data = np.zeros((counts.shape[0], x.shape[1]))
+    if x.shape[0]:
+        starts = np.cumsum(counts) - counts
+        out_data[nonempty] = np.add.reduceat(x.data, starts[nonempty], axis=0)
+    denom = np.where(nonempty, counts, 1).astype(np.float64)[:, None]
+    if scale:
+        out_data /= denom
+
+    def backward(g):
+        if _tracked(x):
+            _accum(x, np.repeat(g / denom if scale else g, counts, axis=0))
+
+    return _make(out_data, "segment_mean", (x,), backward)
+
+
+def dropout(x, rate, rng, train, rows=None, n_rows=None):
+    """Inverted dropout: scales by 1/keep at train time, identity otherwise.
+
+    With ``rows``, ``x`` is a row subset of an ``n_rows``-row layout: the mask
+    is drawn for the whole layout and its row ``rows[k]`` applies to row k of
+    ``x``, so the random stream is that of a dropout over the full layout.
+    """
     if not 0.0 <= rate < 1.0:
         raise NumericError("dropout rate must be in [0, 1), got %r" % rate)
     x = _to_tensor(x)
     if not train or rate == 0.0:
         return x
     keep = 1.0 - rate
-    mask = (rng.random(x.shape) < keep) / keep
+    if rows is None:
+        mask = (rng.random(x.shape) < keep) / keep
+    else:
+        mask = ((rng.random((n_rows, x.shape[1])) < keep) / keep)[rows]
 
     def backward(g):
         if _tracked(x):
@@ -391,72 +383,64 @@ def rowwise_cosine(x, s):
     return out, int((~valid).sum())
 
 
-def cosine(x, y):
-    """Cosine similarity of two 1-D vectors as a scalar tensor."""
-    x = _to_tensor(x)
-    row = reshape(x, (1, x.shape[0]))
-    scores, _ = rowwise_cosine(row, y)
-    return reshape(scores, ())
-
-
 # ---------------------------------------------------------------------------
 # LSTM cell
 
 
 @dataclass
 class LSTMParams:
-    """Gate parameters for one LSTM cell (input size I, hidden input size J, state size H)."""
-    w_xi: Tensor
-    w_hi: Tensor
-    b_i: Tensor
-    w_xf: Tensor
-    w_hf: Tensor
-    b_f: Tensor
-    w_xo: Tensor
-    w_ho: Tensor
-    b_o: Tensor
-    w_xg: Tensor
-    w_hg: Tensor
-    b_g: Tensor
+    """Fused gate parameters of an LSTM cell with a side input.
+
+    Each matrix has 4H columns in ``torch.nn.LSTM`` gate order (input,
+    forget, cell, output): ``W_x`` (I, 4H) maps the step input, ``W_h``
+    (H, 4H) the recurrent state and ``W_s`` (S, 4H) a side input that is the
+    same at every step; ``b`` (4H,) is the bias.
+    """
+    W_x: Tensor
+    W_h: Tensor
+    W_s: Tensor
+    b: Tensor
 
     def tensors(self):
-        return [self.w_xi, self.w_hi, self.b_i, self.w_xf, self.w_hf, self.b_f,
-                self.w_xo, self.w_ho, self.b_o, self.w_xg, self.w_hg, self.b_g]
+        return [self.W_x, self.W_h, self.W_s, self.b]
 
     def named(self, prefix="lstm"):
-        names = ["w_xi", "w_hi", "b_i", "w_xf", "w_hf", "b_f",
-                 "w_xo", "w_ho", "b_o", "w_xg", "w_hg", "b_g"]
-        return {"%s.%s" % (prefix, n): t for n, t in zip(names, self.tensors())}
+        return {"%s.%s" % (prefix, n): t
+                for n, t in zip(("W_x", "W_h", "W_s", "b"), self.tensors())}
 
 
-def init_lstm(input_size, hidden_input_size, state_size, rng):
-    """Glorot-uniform weights, zero biases, forget-gate bias 1."""
-    def w(n_in, n_out):
-        return Tensor(glorot_uniform(rng, n_in, n_out), requires_grad=True)
+def init_lstm(input_size, state_size, side_size, rng):
+    """Glorot-uniform weights, zero biases, forget-gate bias 1.
 
-    def b(value=0.0):
-        return Tensor(np.full(state_size, value), requires_grad=True)
+    Gate by gate, in (input, forget, output, cell) order, one Glorot matrix
+    is drawn for the step input and one for the stacked recurrent and side
+    inputs; a seed thus gives the weights of a cell that keeps a separate
+    matrix pair per gate and draws them in that order.
+    """
+    h = state_size
+    drawn = {gate: (glorot_uniform(rng, input_size, h), glorot_uniform(rng, h + side_size, h))
+             for gate in "ifog"}
+    w_x = np.hstack([drawn[gate][0] for gate in "ifgo"])
+    w_hs = np.hstack([drawn[gate][1] for gate in "ifgo"])
+    b = np.zeros(4 * h)
+    b[h:2 * h] = 1.0
+    return LSTMParams(*(Tensor(a, requires_grad=True)
+                        for a in (w_x, w_hs[:h].copy(), w_hs[h:].copy(), b)))
 
-    return LSTMParams(
-        w_xi=w(input_size, state_size), w_hi=w(hidden_input_size, state_size), b_i=b(),
-        w_xf=w(input_size, state_size), w_hf=w(hidden_input_size, state_size), b_f=b(1.0),
-        w_xo=w(input_size, state_size), w_ho=w(hidden_input_size, state_size), b_o=b(),
-        w_xg=w(input_size, state_size), w_hg=w(hidden_input_size, state_size), b_g=b(),
-    )
 
+def lstm_cell(z, c=None):
+    """One LSTM step from fused gate pre-activations ``z`` (B, 4H); returns (h', c').
 
-def lstm_cell(x, h, c, params):
-    """One step of a standard LSTM cell; returns (h', c')."""
-    def gate(w_x, w_h, b):
-        return add(add(matmul(x, w_x), matmul(h, w_h)), b)
-
-    i = sigmoid(gate(params.w_xi, params.w_hi, params.b_i))
-    f = sigmoid(gate(params.w_xf, params.w_hf, params.b_f))
-    o = sigmoid(gate(params.w_xo, params.w_ho, params.b_o))
-    g = tanh(gate(params.w_xg, params.w_hg, params.b_g))
-    c_new = add(mul(f, c), mul(i, g))
-    h_new = mul(o, tanh(c_new))
-    return h_new, c_new
+    ``c=None`` stands for the zero state, which has no forget term.
+    """
+    h = z.shape[1] // 4
+    i = sigmoid(columns(z, 0, h))
+    g = tanh(columns(z, 2 * h, 3 * h))
+    o = sigmoid(columns(z, 3 * h, 4 * h))
+    c_new = mul(i, g)
+    if c is not None:
+        c_new = add(mul(sigmoid(columns(z, h, 2 * h)), c), c_new)
+    return mul(o, tanh(c_new)), c_new
 
 
 # ---------------------------------------------------------------------------
@@ -558,31 +542,76 @@ class Adam:
 
 
 def save_checkpoint(path, arrays, metadata=None):
-    """Write named arrays to ``path.bin`` with a JSON index at ``path.json``."""
+    """Write named arrays to ``path.bin`` with a JSON index at ``path.json``.
+
+    Each file is written under a temporary name and then moved into place,
+    so an interrupted write leaves the previous file whole.
+    """
     index = {}
     offset = 0
-    with open(path + ".bin", "wb") as fh:
+    with _replacing(path + ".bin", "wb") as fh:
         for name in sorted(arrays):
             arr = np.ascontiguousarray(np.asarray(arrays[name], dtype=np.float64))
             fh.write(arr.tobytes())
             index[name] = {"offset": offset, "shape": list(arr.shape)}
             offset += arr.nbytes
-    with open(path + ".json", "w") as fh:
+    with _replacing(path + ".json", "w") as fh:
         json.dump({"params": index, "metadata": metadata or {}}, fh, indent=2, sort_keys=True)
 
 
-def load_checkpoint(path):
-    """Read a checkpoint written by :func:`save_checkpoint`; returns (arrays, metadata)."""
-    with open(path + ".json") as fh:
-        header = json.load(fh)
-    blob = np.fromfile(path + ".bin", dtype=np.float64)
+@contextlib.contextmanager
+def _replacing(path, mode):
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, mode) as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
+def load_checkpoint(path, format_version=None):
+    """Read a checkpoint written by :func:`save_checkpoint`; returns (arrays, metadata).
+
+    Raises :class:`DataError` when a file is missing or unreadable, when the
+    blob does not hold exactly the values its index describes, or when
+    ``format_version`` is given and the metadata records another one.
+    """
+    header = read_checkpoint_index(path)
+    try:
+        n_bytes = os.path.getsize(path + ".bin")
+        blob = np.fromfile(path + ".bin", dtype=np.float64)
+        index, metadata = header["params"], header.get("metadata", {})
+        entries = [(name, tuple(e["shape"]), e["offset"]) for name, e in index.items()]
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise DataError("cannot read checkpoint %s: %s" % (path, exc))
+    if format_version is not None and metadata.get("format_version") != format_version:
+        raise DataError("checkpoint %s has format version %r, expected %r"
+                        % (path, metadata.get("format_version"), format_version))
     arrays = {}
-    for name, entry in header["params"].items():
-        shape = tuple(entry["shape"])
-        start = entry["offset"] // 8
-        count = int(np.prod(shape)) if shape else 1
+    described = 0
+    for name, shape, offset in entries:
+        count = int(np.prod(shape))
+        start = offset // 8
+        if offset % 8 or start + count > blob.size:
+            raise DataError("checkpoint %s: %s runs past the end of its %d-byte blob"
+                            % (path, name, n_bytes))
         arrays[name] = blob[start:start + count].reshape(shape).copy()
-    return arrays, header.get("metadata", {})
+        described += count
+    if 8 * described != n_bytes:
+        raise DataError("checkpoint %s: blob holds %d bytes, its index describes %d"
+                        % (path, n_bytes, 8 * described))
+    return arrays, metadata
+
+
+def read_checkpoint_index(path):
+    """The JSON index of a checkpoint: ``{"params": ..., "metadata": ...}``."""
+    try:
+        with open(path + ".json") as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise DataError("cannot read checkpoint %s: %s" % (path, exc))
 
 
 def checkpoint_exists(path):

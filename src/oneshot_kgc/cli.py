@@ -15,6 +15,7 @@ import sys
 import numpy as np
 
 from . import synthetic
+from .autodiff import checkpoint_exists, read_checkpoint_index
 from .config import RunConfig, substream
 from .dataset import build_dataset, load_dataset
 from .errors import ConfigError, DataError, NumericError
@@ -129,7 +130,9 @@ def cmd_train_matcher(args):
     cfg.to_file(os.path.join(args.out, "run-config.txt"))
     log_path = os.path.join(args.out, "training-log.jsonl")
     checkpoint = os.path.join(args.out, "matcher")
-    with open(log_path, "a" if args.resume else "w") as log_fh:
+    kept = _log_up_to_resumed_step(log_path, checkpoint) if args.resume else []
+    with open(log_path, "w") as log_fh:
+        log_fh.writelines(kept)
         def log_fn(record):
             log_fh.write(json.dumps(record, sort_keys=True) + "\n")
 
@@ -139,6 +142,23 @@ def cmd_train_matcher(args):
                                 resume=args.resume)
     print("best validation Hits@10 %.4f at step %d; checkpoint at %s"
           % (best, best_step, checkpoint))
+
+
+def _log_up_to_resumed_step(log_path, checkpoint):
+    """Lines of an earlier run's training log at or before the step its
+    saved state resumes from (none when there is no state to resume)."""
+    state = checkpoint + ".state"
+    if not (os.path.exists(log_path) and checkpoint_exists(state)):
+        return []
+    step = read_checkpoint_index(state).get("metadata", {}).get("step")
+    if not isinstance(step, int):
+        raise DataError("training state %s records no step" % state)
+    with open(log_path) as fh:
+        lines = fh.readlines()
+    try:
+        return [line for line in lines if json.loads(line)["step"] <= step]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise DataError("training log %s: unreadable record: %s" % (log_path, exc))
 
 
 def _kshot_tasks(ds, bucket, shots, seed):

@@ -232,6 +232,12 @@ class Dataset:
 
 
 def load_dataset(dataset_dir, type_sidecar=None):
+    missing = [name for name in ("entities.txt", "relations.txt", "background.txt",
+                                 "manifest.json")
+               if not os.path.isfile(os.path.join(dataset_dir, name))]
+    if missing:
+        raise DataError("%s is not a dataset directory: missing %s"
+                        % (dataset_dir, ", ".join(missing)))
     vocab = Vocab()
     with open(os.path.join(dataset_dir, "entities.txt"), encoding="utf-8") as fh:
         for line in fh:

@@ -2,7 +2,11 @@
 per-relation decomposition and k-shot score fusion.
 
 Ranks use pessimistic tie-breaking: candidates scoring equal to the truth
-count against it. Hits@K boundaries are inclusive.
+count against it. Scores within an absolute ``RANK_TIE_TOL`` (1e-12) of the
+truth's score count as equal: model scores are cosines in [-1, 1], and two
+candidates whose scores differ only by rounding (about 1e-16, depending on
+how a batch was composed) must not fall on either side of the truth by
+chance. Hits@K boundaries are inclusive.
 """
 
 from __future__ import annotations
@@ -14,6 +18,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import DataError
+
+RANK_TIE_TOL = 1e-12
 
 
 @dataclass
@@ -77,7 +83,7 @@ def rank_from_scores(scores, truth_index):
     scores = np.asarray(scores, dtype=np.float64)
     s_true = scores[truth_index]
     others = np.delete(scores, truth_index)
-    return 1 + int(np.sum(others >= s_true))
+    return 1 + int(np.sum(others >= s_true - RANK_TIE_TOL))
 
 
 def compute_metrics(ranks):
@@ -156,8 +162,9 @@ def matcher_score_fn(matcher, graph, references_by_task=None):
     pairs for k-shot evaluation; by default each task's own single frozen
     reference is used. Each task's distinct entities (query heads, candidates
     and references) are encoded in one call, in ascending id order, so the
-    scores do not depend on candidate order; each query is then matched
-    against each reference and the per-reference scores are fused.
+    scores do not depend on candidate order, and are projected once into
+    their gate inputs as a query head and as a query tail; each query is then
+    matched against each reference and the per-reference scores are fused.
     """
     def score_fn(task, queries):
         refs = (references_by_task or {}).get(
@@ -167,16 +174,20 @@ def matcher_score_fn(matcher, graph, references_by_task=None):
         ).astype(np.intp))
         with ad.no_grad():
             enc = matcher.encode_entities(ids, graph).data
+            head_gates, tail_gates = matcher.entity_gates(enc)
 
             def rows(entities):
-                return enc[np.searchsorted(ids, entities)]
+                return np.searchsorted(ids, entities)
 
-            supports = [ad.Tensor(np.concatenate([rows(h), rows(t)])) for h, t in refs]
+            supports = [ad.Tensor(np.concatenate([enc[rows(h)], enc[rows(t)]]))
+                        for h, t in refs]
             out = []
             for head, cands in queries:
-                tails = rows(cands)
-                pairs = ad.Tensor(np.hstack([np.broadcast_to(rows(head), tails.shape), tails]))
-                out.append(aggregate_kshot([matcher.match_scores(s, pairs)[0].data
+                hi, ci = rows(head), rows(cands)
+                tails = enc[ci]
+                pairs = ad.Tensor(np.hstack([np.broadcast_to(enc[hi], tails.shape), tails]))
+                gates = ad.Tensor(head_gates[hi] + tail_gates[ci])
+                out.append(aggregate_kshot([matcher.match_scores(s, pairs, gates)[0].data
                                             for s in supports]))
         return out
     return score_fn

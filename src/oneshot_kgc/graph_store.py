@@ -2,13 +2,14 @@
 
 Triples are integer-coded against dense vocabularies assigned in
 first-appearance order. The background graph stores, per entity, its outgoing
-one-hop (relation, entity) tuples capped at a configurable maximum; candidate
-sets for a query are built from the entity type constraint.
+one-hop (relation, entity) tuples capped at a configurable maximum, as
+compressed sparse rows; candidate sets for a query are built from the entity
+type constraint.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+import itertools
 from typing import NamedTuple
 
 import numpy as np
@@ -118,58 +119,52 @@ def save_triples(path, triples, vocab):
 
 
 class BackgroundGraph:
-    """Per-entity outgoing neighbor lists over background relations only."""
+    """Outgoing neighbor lists over background relations only, in CSR form.
 
-    def __init__(self, neighbors, max_neighbors):
-        self.neighbors = neighbors          # list of list[(relation, entity)]
+    The neighbors of entity ``e`` are ``(rel[k], ent[k])`` for ``k`` in
+    ``indptr[e]:indptr[e + 1]``; no list is longer than ``max_neighbors``.
+    """
+
+    def __init__(self, indptr, rel, ent, max_neighbors):
+        self.indptr = np.asarray(indptr, dtype=np.intp)
+        self.rel = np.asarray(rel, dtype=np.intp)
+        self.ent = np.asarray(ent, dtype=np.intp)
         self.max_neighbors = max_neighbors
-        self._padded = None
+        if np.any(np.diff(self.indptr) > max_neighbors):
+            raise DataError("a neighbor list exceeds the cap of %d" % max_neighbors)
 
     @property
     def n_entities(self):
-        return len(self.neighbors)
-
-    def degree(self, eid):
-        return len(self.neighbors[eid])
-
-    def degree_histogram(self):
-        return Counter(len(n) for n in self.neighbors)
-
-    def padded_arrays(self):
-        """(relations, entities, counts) int arrays padded with -1 to the cap."""
-        if self._padded is None:
-            n, cap = self.n_entities, self.max_neighbors
-            rel = np.full((n, cap), -1, dtype=np.intp)
-            ent = np.full((n, cap), -1, dtype=np.intp)
-            counts = np.zeros(n, dtype=np.intp)
-            for eid, lst in enumerate(self.neighbors):
-                counts[eid] = len(lst)
-                for j, (r, e) in enumerate(lst):
-                    rel[eid, j] = r
-                    ent[eid, j] = e
-            self._padded = (rel, ent, counts)
-        return self._padded
+        return self.indptr.size - 1
 
 
 def build_neighbor_index(triples, n_entities, max_neighbors=50, seed=0):
     """Build the background graph, capping each neighbor list at the maximum.
 
-    Over-cap lists are downsampled once, uniformly without replacement, under
-    the given seed; the result is deterministic in (triples, cap, seed).
+    Each entity's list keeps its triples in input order. Over-cap lists are
+    downsampled once, uniformly without replacement, in ascending entity
+    order under the given seed; the result is deterministic in
+    (triples, cap, seed).
     """
     if max_neighbors <= 0:
         raise DataError("max_neighbors must be positive")
-    full = [[] for _ in range(n_entities)]
-    for h, r, t in triples:
-        full[h].append((r, t))
+    coded = np.fromiter(itertools.chain.from_iterable(triples), dtype=np.intp,
+                        count=3 * len(triples)).reshape(-1, 3)
+    coded = coded[np.argsort(coded[:, 0], kind="stable")]
+    counts = np.bincount(coded[:, 0], minlength=n_entities)
+    if counts.size != n_entities or (coded.size and coded[:, 2].max() >= n_entities):
+        raise DataError("background triples name entities beyond the %d known" % n_entities)
+    starts = np.concatenate([[0], np.cumsum(counts)])
+    keep = np.ones(len(coded), dtype=bool)
     rng = np.random.default_rng(seed)
-    neighbors = []
-    for lst in full:
-        if len(lst) > max_neighbors:
-            picked = rng.choice(len(lst), size=max_neighbors, replace=False)
-            lst = [lst[i] for i in sorted(picked)]
-        neighbors.append(lst)
-    return BackgroundGraph(neighbors, max_neighbors)
+    for eid in np.flatnonzero(counts > max_neighbors):
+        picked = rng.choice(int(counts[eid]), size=max_neighbors, replace=False)
+        dropped = np.ones(counts[eid], dtype=bool)
+        dropped[picked] = False
+        keep[starts[eid] + np.flatnonzero(dropped)] = False
+    coded = coded[keep]
+    indptr = np.concatenate([[0], np.cumsum(np.minimum(counts, max_neighbors))])
+    return BackgroundGraph(indptr, coded[:, 1], coded[:, 2], max_neighbors)
 
 
 def build_candidates(truth, observed_tails, vocab, floor=20, rng=None):

@@ -3,10 +3,14 @@ multi-step matching processor scoring query entity pairs against a one-shot
 reference pair.
 
 The neighbor encoder maps an entity to tanh of the (scaled) mean of affine
-transforms of its one-hop (relation, entity) embedding tuples. The matching
-processor refines the query representation with an LSTM cell conditioned on
-the reference and scores with cosine similarity after a fixed number of
-steps. Ablation flags reduce either component to its trivial form.
+transforms of its one-hop (relation, entity) embedding tuples. The transform
+is affine, so the encoder pools the concatenated tuples first and projects
+the pooled row once. The matching processor refines the query representation
+with an LSTM cell conditioned on the reference and scores with cosine
+similarity after a fixed number of steps; the query and the reference enter
+the gates the same way at every step, so their gate contributions are
+computed once per call. Ablation flags reduce either component to its
+trivial form.
 """
 
 from __future__ import annotations
@@ -14,7 +18,11 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, DataError, NumericError
+
+# layout of the parameters in a saved matcher or training state; a checkpoint
+# recording another version (or none) is rejected on load
+FORMAT_VERSION = 2
 
 
 class Matcher:
@@ -44,8 +52,8 @@ class Matcher:
         rng = np.random.default_rng(seed)
         self.w_c = ad.Tensor(ad.glorot_uniform(rng, 2 * dim, dim), requires_grad=True)
         self.b_c = ad.Tensor(np.zeros(dim), requires_grad=True)
-        # input = query pair (2d); recurrent input = hidden ++ reference (H + 2d)
-        self.cell = ad.init_lstm(2 * dim, hidden + 2 * dim, hidden, rng)
+        # step input = query pair (2d); side input = reference pair (2d)
+        self.cell = ad.init_lstm(2 * dim, hidden, 2 * dim, rng)
 
         self.ent_emb = None
         self.rel_emb = None
@@ -67,10 +75,18 @@ class Matcher:
         self.table_provenance = dict(table.metadata)
 
     def parameters(self):
-        params = [self.w_c, self.b_c] + self.cell.tensors()
-        if self.ent_emb is not None and self.embeddings_trainable:
-            params += [self.ent_emb, self.rel_emb]
-        return params
+        """The tensors the optimizer updates: all but a frozen table."""
+        return [t for name, t in self.named_parameters().items()
+                if self.embeddings_trainable or name not in ("ent_emb", "rel_emb")]
+
+    def named_parameters(self):
+        """Every stored tensor by checkpoint name, frozen tables included."""
+        names = {"w_c": self.w_c, "b_c": self.b_c}
+        names.update(self.cell.named())
+        if self.ent_emb is not None:
+            names["ent_emb"] = self.ent_emb
+            names["rel_emb"] = self.rel_emb
+        return names
 
     def _require_table(self):
         if self.ent_emb is None:
@@ -88,24 +104,24 @@ class Matcher:
         entity_ids = np.asarray(entity_ids, dtype=np.intp)
         if not self.use_neighbor_encoder:
             return ad.gather_rows(self.ent_emb, entity_ids)
-        rel_idx, ent_idx, counts = graph.padded_arrays()
+        starts = graph.indptr[entity_ids]
+        counts = graph.indptr[entity_ids + 1] - starts
+        # position of each neighbor in its CSR list and in its entity's batch row
+        first = np.repeat(np.cumsum(counts) - counts, counts)
+        rank = np.arange(first.size) - first
+        slots = np.repeat(starts, counts) + rank
+        x = ad.concat(ad.gather_rows(self.rel_emb, graph.rel[slots]),
+                      ad.gather_rows(self.ent_emb, graph.ent[slots]))
+        # the mask is drawn over every entity's cap-long row block, padding included
         cap = graph.max_neighbors
-        r_flat = rel_idx[entity_ids].ravel()
-        e_flat = ent_idx[entity_ids].ravel()
-        vr = ad.gather_rows(self.rel_emb, r_flat)
-        ve = ad.gather_rows(self.ent_emb, e_flat)
-        x = ad.concat(vr, ve)
-        x = ad.dropout(x, self.dropout, rng, rng is not None)
-        mask = ad.Tensor((r_flat >= 0).astype(np.float64)[:, None])
-        affine = ad.mul(ad.add(ad.matmul(x, self.w_c), self.b_c), mask)
-        pooled = ad.block_mean_rows(affine, cap, counts[entity_ids],
-                                    scale=self.use_scaling_factor)
-        return ad.tanh(pooled)
-
-    def encode_neighbors(self, entity, graph):
-        """Single-entity convenience wrapper -> 1-D d-vector."""
-        out = self.encode_entities([entity], graph)
-        return ad.reshape(out, (self.dim,))
+        x = ad.dropout(x, self.dropout, rng, rng is not None,
+                       rows=np.repeat(np.arange(entity_ids.size) * cap, counts) + rank,
+                       n_rows=entity_ids.size * cap)
+        pooled = ad.segment_mean(x, counts, scale=self.use_scaling_factor)
+        # mean_k(W x_k + b) = W mean_k(x_k) + b; a sum pool adds the bias count times
+        weight = (counts > 0) if self.use_scaling_factor else counts
+        bias = ad.mul(ad.Tensor(weight.astype(np.float64)[:, None]), self.b_c)
+        return ad.tanh(ad.add(ad.matmul(pooled, self.w_c), bias))
 
     def pair_representation(self, heads, tails, graph, rng=None):
         """Concatenated neighbor encodings of (head, tail) pairs -> (B, 2d)."""
@@ -116,25 +132,40 @@ class Matcher:
     # ------------------------------------------------------------------
     # matching processor
 
-    def match_scores(self, support, queries):
+    def match_scores(self, support, queries, query_gates=None):
         """Score each query row of (B, 2d) against the 1-D support vector.
 
-        Returns ``(scores, n_zero)``: a (B,) tensor and the number of rows
-        that scored -1 because a cosine operand had zero norm.
+        ``query_gates`` optionally holds ``queries @ W_x`` computed by the
+        caller (evaluation sums per-entity halves of it). Returns
+        ``(scores, n_zero)``: a (B,) tensor and the number of rows that scored
+        -1 because a cosine operand had zero norm.
         """
         if support.ndim != 1 or support.shape[0] != 2 * self.dim:
             raise NumericError("support vector must have length %d" % (2 * self.dim))
         if not self.use_matching_processor:
             return ad.rowwise_cosine(queries, support)
-        batch = queries.shape[0]
-        s_rows = ad.broadcast_rows(support, batch)
-        h = ad.Tensor(np.zeros((batch, self.hidden)))
-        c = ad.Tensor(np.zeros((batch, self.hidden)))
+        cell = self.cell
+        if query_gates is None:
+            query_gates = ad.matmul(queries, cell.W_x)
+        side = ad.add(ad.matmul(ad.reshape(support, (1, 2 * self.dim)), cell.W_s), cell.b)
+        fixed = ad.add(query_gates, side)
+        # the state starts at zero: step 1 has no recurrent term
+        h, c = None, None
         for _ in range(self.steps):
-            hin = ad.concat(h, s_rows)
-            h_prime, c = ad.lstm_cell(queries, hin, c, self.cell)
+            z = fixed if h is None else ad.add(fixed, ad.matmul(h, cell.W_h))
+            h_prime, c = ad.lstm_cell(z, c)
             h = ad.add(h_prime, queries)
         return ad.rowwise_cosine(h, support)
+
+    def entity_gates(self, encoded):
+        """Gate inputs of encoded entities as a query head and as a query tail.
+
+        Returns two arrays, ``encoded @ W_x[:d]`` and ``encoded @ W_x[d:]``:
+        the gate input of a pair is the head row of the first plus the tail
+        row of the second. Without gradient; used by evaluation.
+        """
+        w_x = self.cell.W_x.data
+        return encoded @ w_x[:self.dim], encoded @ w_x[self.dim:]
 
     def score_pairs(self, reference, heads, tails, graph, rng=None):
         """End-to-end: encode reference pair and query pairs, return scores."""
@@ -157,12 +188,9 @@ def hinge_loss(score_pos, score_neg, gamma):
 
 
 def save_matcher(path, matcher):
-    arrays = {"w_c": matcher.w_c.data, "b_c": matcher.b_c.data}
-    arrays.update({k: v.data for k, v in matcher.cell.named().items()})
-    if matcher.ent_emb is not None:
-        arrays["ent_emb"] = matcher.ent_emb.data
-        arrays["rel_emb"] = matcher.rel_emb.data
+    arrays = {name: t.data for name, t in matcher.named_parameters().items()}
     meta = {
+        "format_version": FORMAT_VERSION,
         "dim": matcher.dim, "hidden": matcher.hidden, "steps": matcher.steps,
         "dropout": matcher.dropout, "max_neighbors": matcher.max_neighbors,
         "use_neighbor_encoder": matcher.use_neighbor_encoder,
@@ -175,19 +203,31 @@ def save_matcher(path, matcher):
 
 
 def load_matcher(path):
-    arrays, meta = ad.load_checkpoint(path)
-    m = Matcher(int(meta["dim"]), steps=int(meta["steps"]), dropout=meta["dropout"],
-                max_neighbors=int(meta["max_neighbors"]),
-                use_neighbor_encoder=meta["use_neighbor_encoder"],
-                use_matching_processor=meta["use_matching_processor"],
-                use_scaling_factor=meta["use_scaling_factor"])
-    m.w_c.data[...] = arrays["w_c"]
-    m.b_c.data[...] = arrays["b_c"]
-    for name, tensor in m.cell.named().items():
-        tensor.data[...] = arrays[name]
+    arrays, meta = ad.load_checkpoint(path, format_version=FORMAT_VERSION)
+    try:
+        m = Matcher(int(meta["dim"]), steps=int(meta["steps"]), dropout=meta["dropout"],
+                    max_neighbors=int(meta["max_neighbors"]),
+                    use_neighbor_encoder=meta["use_neighbor_encoder"],
+                    use_matching_processor=meta["use_matching_processor"],
+                    use_scaling_factor=meta["use_scaling_factor"])
+        trainable = bool(meta["embeddings_trainable"])
+    except (KeyError, TypeError, ValueError, ConfigError) as exc:
+        raise DataError("checkpoint %s: bad metadata: %s" % (path, exc))
     if "ent_emb" in arrays:
-        m.ent_emb = ad.Tensor(arrays["ent_emb"], requires_grad=meta["embeddings_trainable"])
-        m.rel_emb = ad.Tensor(arrays["rel_emb"], requires_grad=meta["embeddings_trainable"])
-        m.embeddings_trainable = meta["embeddings_trainable"]
+        m.ent_emb = ad.Tensor(arrays["ent_emb"], requires_grad=trainable)
+        m.rel_emb = ad.Tensor(arrays["rel_emb"], requires_grad=trainable)
+        m.embeddings_trainable = trainable
         m.table_provenance = meta.get("table_provenance", {})
+    assign_arrays({name: t.data for name, t in m.named_parameters().items()}, arrays, path)
     return m
+
+
+def assign_arrays(targets, arrays, path):
+    """Copy each of ``arrays`` into the target array of the same name; every
+    target must be present in ``arrays`` with its shape."""
+    for name, target in targets.items():
+        arr = arrays.get(name)
+        if arr is None or arr.shape != target.shape:
+            raise DataError("checkpoint %s: %s has shape %s, expected %s"
+                            % (path, name, None if arr is None else arr.shape, target.shape))
+        target[...] = arr

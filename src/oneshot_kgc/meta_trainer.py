@@ -25,7 +25,7 @@ from .config import substream
 from .errors import NumericError
 from .evaluator import evaluate_tasks, matcher_score_fn
 from .graph_store import Triple
-from .matcher import hinge_loss, save_matcher
+from .matcher import FORMAT_VERSION, assign_arrays, hinge_loss, save_matcher
 
 log = logging.getLogger(__name__)
 
@@ -123,14 +123,14 @@ def train(matcher, graph, train_tasks, valid_tasks, vocab, config,
     evals_since_best = 0
     state_path = (checkpoint_path + ".state") if checkpoint_path else None
 
-    names = _param_names(matcher)
+    names = matcher.named_parameters()
     if resume and state_path and ad.checkpoint_exists(state_path):
-        arrays, meta = ad.load_checkpoint(state_path)
-        for name, p in names.items():
-            p.data[...] = arrays[name]
-        for i, p in enumerate(params):
-            opt._m[i][...] = arrays["adam_m.%d" % i]
-            opt._v[i][...] = arrays["adam_v.%d" % i]
+        arrays, meta = ad.load_checkpoint(state_path, format_version=FORMAT_VERSION)
+        targets = {name: p.data for name, p in names.items()}
+        for i in range(len(params)):
+            targets["adam_m.%d" % i] = opt._m[i]
+            targets["adam_v.%d" % i] = opt._v[i]
+        assign_arrays(targets, arrays, state_path)
         step = int(meta["step"])
         opt.t = int(meta["opt_t"])
         best_metric = float(meta["best_metric"])
@@ -185,15 +185,6 @@ def train(matcher, graph, train_tasks, valid_tasks, vocab, config,
     return best_metric, best_step
 
 
-def _param_names(matcher):
-    names = {"w_c": matcher.w_c, "b_c": matcher.b_c}
-    names.update(matcher.cell.named())
-    if matcher.ent_emb is not None:
-        names["ent_emb"] = matcher.ent_emb
-        names["rel_emb"] = matcher.rel_emb
-    return names
-
-
 def _episode_step(matcher, graph, episode, opt, config, rng):
     s = matcher.pair_representation([episode.reference.head], [episode.reference.tail],
                                     graph, rng=rng)
@@ -222,8 +213,9 @@ def _save_state(state_path, names, opt, step, best_metric, best_step):
         arrays["adam_m.%d" % i] = opt._m[i]
         arrays["adam_v.%d" % i] = opt._v[i]
     ad.save_checkpoint(state_path, arrays,
-                       metadata={"step": step, "opt_t": opt.t,
-                                 "best_metric": best_metric, "best_step": best_step})
+                       metadata={"format_version": FORMAT_VERSION, "step": step,
+                                 "opt_t": opt.t, "best_metric": best_metric,
+                                 "best_step": best_step})
 
 
 def _dump_diagnostics(checkpoint_path, step, episode, loss_value):

@@ -1,0 +1,140 @@
+"""Reference implementations and helpers that only the tests use.
+
+The padded neighbor encoder and the unfactored matching processor are the
+straightforward forms of the model: the padded encoder applies the affine
+map to every neighbor slot up to the cap before it pools, and the unfactored
+processor feeds [state; reference] through one matrix per gate at every
+step. The program computes the same functions in fewer operations; the
+tests compare the two within a tolerance fixed from float64 rounding.
+"""
+
+import numpy as np
+
+from oneshot_kgc import autodiff as ad
+from oneshot_kgc.graph_store import BackgroundGraph
+
+GATES = "ifgo"           # column blocks of the fused LSTM parameters
+
+
+# ---------------------------------------------------------------------------
+# background graphs
+
+
+def graph_from_lists(lists, cap=50):
+    """A CSR graph from per-entity lists of (relation, entity) pairs."""
+    flat = [pair for lst in lists for pair in lst]
+    indptr = np.concatenate([[0], np.cumsum([len(lst) for lst in lists])])
+    rel = np.array([r for r, _ in flat], dtype=np.intp)
+    ent = np.array([e for _, e in flat], dtype=np.intp)
+    return BackgroundGraph(indptr, rel, ent, cap)
+
+
+def neighbor_lists(graph):
+    """Per-entity lists of (relation, entity) pairs, in stored order."""
+    return [[(int(graph.rel[k]), int(graph.ent[k]))
+             for k in range(graph.indptr[e], graph.indptr[e + 1])]
+            for e in range(graph.n_entities)]
+
+
+def degree(graph, eid):
+    return int(graph.indptr[eid + 1] - graph.indptr[eid])
+
+
+def listwise_neighbor_index(triples, n_entities, max_neighbors, seed):
+    """Neighbor lists built one entity at a time, downsampling each over-cap
+    list with one ``rng.choice`` call in ascending entity order."""
+    full = [[] for _ in range(n_entities)]
+    for h, r, t in triples:
+        full[h].append((r, t))
+    rng = np.random.default_rng(seed)
+    out = []
+    for lst in full:
+        if len(lst) > max_neighbors:
+            picked = rng.choice(len(lst), size=max_neighbors, replace=False)
+            lst = [lst[i] for i in sorted(picked)]
+        out.append(lst)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# model
+
+
+def encode_one(matcher, entity, graph):
+    """The encoding of a single entity as a 1-D d-vector."""
+    return matcher.encode_entities([entity], graph).data[0]
+
+
+def padded_encode(matcher, entity_ids, graph, rng=None):
+    """The neighbor encoder over cap-long padded neighbor slots -> (B, d).
+
+    Every slot of every entity is gathered (padding as zero rows), dropped
+    out when ``rng`` is given, mapped through the affine transform and
+    masked; each block of ``cap`` slots is then averaged over its real
+    neighbors (summed without the scaling factor) and squashed by tanh.
+    """
+    cap = graph.max_neighbors
+    lists = neighbor_lists(graph)
+    ids = np.asarray(entity_ids, dtype=np.intp)
+    rel = np.full((ids.size, cap), -1, dtype=np.intp)
+    ent = np.full((ids.size, cap), -1, dtype=np.intp)
+    counts = np.zeros(ids.size)
+    for b, eid in enumerate(ids):
+        counts[b] = len(lists[eid])
+        for j, (r, e) in enumerate(lists[eid]):
+            rel[b, j], ent[b, j] = r, e
+    r_flat, e_flat = rel.ravel(), ent.ravel()
+    rel_emb, ent_emb = matcher.rel_emb.data, matcher.ent_emb.data
+    x = np.hstack([np.where(r_flat[:, None] >= 0, rel_emb[r_flat], 0.0),
+                   np.where(e_flat[:, None] >= 0, ent_emb[e_flat], 0.0)])
+    if rng is not None and matcher.dropout > 0:
+        keep = 1.0 - matcher.dropout
+        x = x * ((rng.random(x.shape) < keep) / keep)
+    affine = (x @ matcher.w_c.data + matcher.b_c.data) * (r_flat >= 0)[:, None]
+    sums = affine.reshape(ids.size, cap, -1).sum(axis=1)
+    if matcher.use_scaling_factor:
+        sums = sums / np.maximum(counts, 1.0)[:, None]
+    return np.tanh(np.where(counts[:, None] > 0, sums, 0.0))
+
+
+def gate_blocks(cell):
+    """Per-gate (input, [recurrent; side], bias) blocks of the fused cell."""
+    h = cell.W_h.shape[0]
+    w_hs = np.vstack([cell.W_h.data, cell.W_s.data])
+    return {gate: (cell.W_x.data[:, k * h:(k + 1) * h], w_hs[:, k * h:(k + 1) * h],
+                   cell.b.data[k * h:(k + 1) * h])
+            for k, gate in enumerate(GATES)}
+
+
+def unfactored_match_scores(matcher, support, queries):
+    """The matching processor with the reference row fed at every step.
+
+    Each step concatenates the state with the broadcast reference and runs
+    one matrix product per gate over the query input and over that
+    concatenation, starting from a zero state and cell.
+    """
+    def sigmoid(v):
+        return 1.0 / (1.0 + np.exp(-v))
+
+    blocks = gate_blocks(matcher.cell)
+    batch = queries.shape[0]
+    h = np.zeros((batch, matcher.hidden))
+    c = np.zeros((batch, matcher.hidden))
+    s_rows = np.broadcast_to(support, (batch, support.shape[0]))
+    for _ in range(matcher.steps):
+        hin = np.hstack([h, s_rows])
+        pre = {g: queries @ w_x + hin @ w_hs + b for g, (w_x, w_hs, b) in blocks.items()}
+        c = sigmoid(pre["f"]) * c + sigmoid(pre["i"]) * np.tanh(pre["g"])
+        h = sigmoid(pre["o"]) * np.tanh(c) + queries
+    return h @ support / (np.linalg.norm(h, axis=1) * np.linalg.norm(support))
+
+
+# ---------------------------------------------------------------------------
+# autodiff
+
+
+def cosine(x, y):
+    """Cosine similarity of two 1-D tensors as a scalar tensor."""
+    x = ad._to_tensor(x)
+    scores, _ = ad.rowwise_cosine(ad.reshape(x, (1, x.shape[0])), y)
+    return ad.reshape(scores, ())

@@ -35,10 +35,10 @@ from oneshot_kgc.embeddings import (export_vectors, random_table,
 from oneshot_kgc.evaluator import (compute_metrics, embedding_score_fn,
                                    evaluate_tasks, matcher_score_fn,
                                    rank_from_scores)
-from oneshot_kgc.graph_store import (BackgroundGraph, Triple,
-                                     build_neighbor_index, load_triples)
+from oneshot_kgc.graph_store import load_triples
 from oneshot_kgc.matcher import Matcher, hinge_loss
 from oneshot_kgc.meta_trainer import train
+from reference import encode_one, graph_from_lists
 
 
 # ---------------------------------------------------------------------------
@@ -69,8 +69,7 @@ class TestC2Properties:
 
     @staticmethod
     def _graph(neighbors, n_ent):
-        lists = [list(neighbors.get(e, [])) for e in range(n_ent)]
-        return BackgroundGraph(lists, max_neighbors=50)
+        return graph_from_lists([list(neighbors.get(e, [])) for e in range(n_ent)], 50)
 
     def _permutation_invariance(self):
         m = self._matcher(seed=1)
@@ -80,8 +79,8 @@ class TestC2Properties:
             k = int(rng.integers(1, 12))
             nbrs = [(int(rng.integers(6)), int(rng.integers(1, 40))) for _ in range(k)]
             perm = [nbrs[i] for i in rng.permutation(k)]
-            a = m.encode_neighbors(0, self._graph({0: nbrs}, 40)).data
-            b = m.encode_neighbors(0, self._graph({0: perm}, 40)).data
+            a = encode_one(m, 0, self._graph({0: nbrs}, 40))
+            b = encode_one(m, 0, self._graph({0: perm}, 40))
             worst = max(worst, float(np.max(np.abs(a - b))))
         assert worst <= 1e-9
         print("  [PASS] neighbor-encoder permutation invariance, 1000 cases,"
@@ -91,11 +90,11 @@ class TestC2Properties:
         on = self._matcher(seed=2)
         off = self._matcher(seed=2, use_scaling_factor=False)
         nbrs = [(1, 11), (2, 12), (3, 13)]
-        a = on.encode_neighbors(0, self._graph({0: nbrs}, 40)).data
-        b = on.encode_neighbors(0, self._graph({0: nbrs * 4}, 40)).data
+        a = encode_one(on, 0, self._graph({0: nbrs}, 40))
+        b = encode_one(on, 0, self._graph({0: nbrs * 4}, 40))
         assert np.max(np.abs(a - b)) <= 1e-9
-        c = off.encode_neighbors(0, self._graph({0: nbrs}, 40)).data
-        d = off.encode_neighbors(0, self._graph({0: nbrs * 4}, 40)).data
+        c = encode_one(off, 0, self._graph({0: nbrs}, 40))
+        d = encode_one(off, 0, self._graph({0: nbrs * 4}, 40))
         assert not np.allclose(c, d)
         print("  [PASS] duplication invariance with scaling on;"
               " strict deviation with scaling off")
@@ -167,15 +166,21 @@ class TestC3Gradients:
     N_COORDS = 16        # seeded subsample for the larger parameter groups
     TOL = 1e-4
 
+    GROUPS = {"w_c", "b_c", "ent_emb", "rel_emb",
+              "lstm.W_x", "lstm.W_h", "lstm.W_s", "lstm.b"}
+    OPS = {"segment_mean", "columns", "gather_rows", "matmul"}
+
     def _instance(self, seed):
         rng = np.random.default_rng(seed)
-        m = Matcher(self.DIM, steps=2, dropout=0.0, seed=seed)
+        # odd seeds pool by sum: the unscaled segment-mean path and count * bias
+        m = Matcher(self.DIM, steps=2, dropout=0.0, seed=seed,
+                    use_scaling_factor=seed % 2 == 0)
         m.attach_table(random_table(self.N_ENT, self.N_REL, self.DIM, seed=seed),
                        trainable=True)
         lists = [[(int(rng.integers(self.N_REL)), int(rng.integers(self.N_ENT)))
                   for _ in range(int(rng.integers(1, 4)))]
                  for _ in range(self.N_ENT)]
-        graph = BackgroundGraph(lists, max_neighbors=50)
+        graph = graph_from_lists(lists, 50)
         ref = (0, 1)
         heads, tails = [2, 3, 4], [5, 6, 7]
 
@@ -189,10 +194,10 @@ class TestC3Gradients:
         for seed in range(20):
             m, loss, rng = self._instance(100 + seed)
             out = loss()
+            assert self.OPS <= _graph_ops(out)
             ad.backward(out)
-            groups = {"w_c": m.w_c, "b_c": m.b_c,
-                      "ent_emb": m.ent_emb, "rel_emb": m.rel_emb}
-            groups.update(m.cell.named())
+            groups = m.named_parameters()
+            assert set(groups) == self.GROUPS
             for name, p in groups.items():
                 if name in ("ent_emb", "rel_emb"):
                     rows = np.where(np.abs(p.grad).sum(axis=1) > 0)[0]
@@ -224,6 +229,18 @@ class TestC3Gradients:
         print("[PASS] criterion 3: d=8, K=2, 20 instances, all parameter groups,"
               " max relative error %.2e (< 1e-4) in %.1f s (< 30 s)"
               % (worst, elapsed))
+
+
+def _graph_ops(out):
+    """Names of the ops recorded in the graph behind ``out``."""
+    ops, stack, seen = set(), [out], set()
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            ops.add(node._op)
+            stack.extend(node._parents)
+    return ops
 
 
 # ---------------------------------------------------------------------------

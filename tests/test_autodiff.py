@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from oneshot_kgc import autodiff as ad
-from oneshot_kgc.errors import NumericError
+from oneshot_kgc.errors import DataError, NumericError
+from reference import cosine
 
 
 def numeric_grad(f, x, h=1e-6):
@@ -37,20 +38,37 @@ class TestForward:
         rng = np.random.default_rng(0)
         for _ in range(5):
             x = rng.normal(size=6)
-            assert ad.cosine(ad.Tensor(x), ad.Tensor(x)).item() == pytest.approx(1.0)
+            assert cosine(ad.Tensor(x), ad.Tensor(x)).item() == pytest.approx(1.0)
 
     def test_lstm_cell_zero_params_zero_cell(self):
         rng = np.random.default_rng(1)
-        p = ad.init_lstm(4, 6, 4, rng)
+        p = ad.init_lstm(4, 4, 2, rng)
         for t in p.tensors():
             t.data[...] = 0.0
         x = ad.Tensor(rng.normal(size=(3, 4)))
-        h = ad.Tensor(rng.normal(size=(3, 6)))
-        c = ad.Tensor(np.zeros((3, 4)))
-        h_new, c_new = ad.lstm_cell(x, h, c, p)
+        h = ad.Tensor(rng.normal(size=(3, 4)))
+        s = ad.Tensor(rng.normal(size=(1, 2)))
+        z = ad.add(ad.add(ad.add(ad.matmul(x, p.W_x), ad.matmul(h, p.W_h)),
+                          ad.matmul(s, p.W_s)), p.b)
         # sigmoid(0)=0.5, tanh(0)=0 -> candidate 0 -> new state 0 -> output 0
-        assert np.allclose(h_new.data, 0.0)
-        assert np.allclose(c_new.data, 0.0)
+        for c in (None, ad.Tensor(np.zeros((3, 4)))):
+            h_new, c_new = ad.lstm_cell(z, c)
+            assert np.allclose(h_new.data, 0.0)
+            assert np.allclose(c_new.data, 0.0)
+
+    def test_init_lstm_fuses_gates_in_lstm_order(self):
+        # the legacy layout drew, gate by gate in (i, f, o, g) order, an input
+        # matrix and a [recurrent; side] matrix; biases are 0 except forget = 1
+        p = ad.init_lstm(3, 4, 2, np.random.default_rng(7))
+        rng = np.random.default_rng(7)
+        drawn = {g: (ad.glorot_uniform(rng, 3, 4), ad.glorot_uniform(rng, 6, 4))
+                 for g in "ifog"}
+        for k, g in enumerate("ifgo"):
+            cols = slice(4 * k, 4 * k + 4)
+            assert np.array_equal(p.W_x.data[:, cols], drawn[g][0])
+            assert np.array_equal(p.W_h.data[:, cols], drawn[g][1][:4])
+            assert np.array_equal(p.W_s.data[:, cols], drawn[g][1][4:])
+            assert np.all(p.b.data[cols] == (1.0 if g == "f" else 0.0))
 
     def test_shape_mismatch_names_op(self):
         with pytest.raises(NumericError, match="matmul"):
@@ -61,13 +79,31 @@ class TestForward:
         with np.errstate(over="ignore"), pytest.raises(NumericError, match="mul"):
             ad.mul(big, big)
 
-    def test_mean_rows_permutation_invariant(self):
+    def test_segment_mean_permutation_invariant(self):
         rng = np.random.default_rng(2)
         x = rng.normal(size=(40, 8))
         perm = rng.permutation(40)
-        a = ad.mean_rows(ad.Tensor(x)).data
-        b = ad.mean_rows(ad.Tensor(x[perm])).data
+        a = ad.segment_mean(ad.Tensor(x), [40]).data
+        b = ad.segment_mean(ad.Tensor(x[perm]), [40]).data
         assert np.max(np.abs(a - b)) < 1e-9
+
+    def test_segment_mean_values(self):
+        x = np.arange(12.0).reshape(6, 2)
+        counts = [2, 0, 3, 1]
+        mean = ad.segment_mean(ad.Tensor(x), counts).data
+        total = ad.segment_mean(ad.Tensor(x), counts, scale=False).data
+        assert mean.tolist() == [[1.0, 2.0], [0.0, 0.0], [6.0, 7.0], [10.0, 11.0]]
+        assert total.tolist() == [[2.0, 4.0], [0.0, 0.0], [18.0, 21.0], [10.0, 11.0]]
+        assert ad.segment_mean(ad.Tensor(np.zeros((0, 2))), [0, 0]).data.tolist() == \
+            [[0.0, 0.0], [0.0, 0.0]]
+        with pytest.raises(NumericError, match="segment_mean"):
+            ad.segment_mean(ad.Tensor(x), [2, 3])
+
+    def test_columns(self):
+        x = np.arange(12.0).reshape(3, 4)
+        assert np.array_equal(ad.columns(ad.Tensor(x), 1, 3).data, x[:, 1:3])
+        with pytest.raises(NumericError, match="columns"):
+            ad.columns(ad.Tensor(x), 2, 5)
 
 
 class TestDropout:
@@ -82,6 +118,14 @@ class TestDropout:
             out = ad.dropout(x, 0.0, np.random.default_rng(0), train=train)
             assert np.array_equal(out.data, x.data)
 
+    def test_layout_rows_take_the_full_layout_draws(self):
+        x = np.random.default_rng(4).normal(size=(10, 3))
+        full = ad.dropout(ad.Tensor(x), 0.4, np.random.default_rng(5), train=True).data
+        rows = np.array([0, 3, 4, 9])
+        sub = ad.dropout(ad.Tensor(x[rows]), 0.4, np.random.default_rng(5), train=True,
+                         rows=rows, n_rows=10).data
+        assert np.array_equal(sub, full[rows])
+
     def test_inverted_scaling_preserves_mean(self):
         rng = np.random.default_rng(3)
         x = ad.Tensor(np.ones((200, 50)))
@@ -95,9 +139,9 @@ class TestBackward:
         for dim in (2, 5, 8):
             x = ad.Tensor(rng.normal(size=dim), requires_grad=True)
             y = ad.Tensor(rng.normal(size=dim))
-            loss = ad.cosine(x, y)
+            loss = cosine(x, y)
             ad.backward(loss)
-            num = numeric_grad(lambda: ad.cosine(ad.Tensor(x.data), y).item(), x.data, h=1e-4)
+            num = numeric_grad(lambda: cosine(ad.Tensor(x.data), y).item(), x.data, h=1e-4)
             assert rel_err(x.grad, num) < 1e-4
 
     def test_unused_param_gets_zero_grad(self):
@@ -125,34 +169,55 @@ class TestBackward:
         ad.backward(ad.sum_all(out))
         assert np.array_equal(table.grad[:, 0], [1.0, 0.0, 2.0, 0.0])
 
-    def test_block_mean_rows_grad(self):
+    @pytest.mark.parametrize("scale", [True, False])
+    def test_segment_mean_grad(self, scale):
         rng = np.random.default_rng(5)
         x = ad.Tensor(rng.normal(size=(6, 4)), requires_grad=True)
-        counts = np.array([3, 2])
-        loss = ad.sum_all(ad.block_mean_rows(x, 3, counts, scale=True))
-        ad.backward(loss)
-        num = numeric_grad(
-            lambda: ad.block_mean_rows(ad.Tensor(x.data), 3, counts, scale=True).data.sum(),
-            x.data)
+        w = rng.normal(size=(4, 4))
+        counts = np.array([3, 0, 2, 1])
+
+        def run(t):
+            return ad.sum_all(ad.mul(ad.segment_mean(t, counts, scale=scale), w))
+        ad.backward(run(x))
+        num = numeric_grad(lambda: run(ad.Tensor(x.data)).item(), x.data)
         assert rel_err(x.grad, num) < 1e-6
+
+    def test_columns_grad(self):
+        rng = np.random.default_rng(8)
+        x = ad.Tensor(rng.normal(size=(3, 6)), requires_grad=True)
+        w = rng.normal(size=(3, 2))
+
+        def run(t):
+            # two overlapping slices accumulate into the same columns
+            return ad.sum_all(ad.add(ad.mul(ad.columns(t, 1, 3), w),
+                                     ad.tanh(ad.columns(t, 2, 4))))
+        ad.backward(run(x))
+        num = numeric_grad(lambda: run(ad.Tensor(x.data)).item(), x.data)
+        assert rel_err(x.grad, num) < 1e-6
+        assert np.all(x.grad[:, [0, 4, 5]] == 0.0)
 
     def test_lstm_cell_grad(self):
         rng = np.random.default_rng(6)
-        p = ad.init_lstm(3, 5, 3, rng)
+        p = ad.init_lstm(3, 3, 2, rng)
+        p.b.data[...] = rng.normal(size=p.b.shape)
         x = ad.Tensor(rng.normal(size=(2, 3)))
-        h = ad.Tensor(rng.normal(size=(2, 5)))
+        h = ad.Tensor(rng.normal(size=(2, 3)))
+        s = ad.Tensor(rng.normal(size=(1, 2)))
         c = ad.Tensor(rng.normal(size=(2, 3)))
 
-        def run():
-            h_new, c_new = ad.lstm_cell(x, h, c, p)
+        def run(state):
+            z = ad.add(ad.add(ad.add(ad.matmul(x, p.W_x), ad.matmul(h, p.W_h)),
+                              ad.matmul(s, p.W_s)), p.b)
+            h_new, c_new = ad.lstm_cell(z, state)
             return ad.sum_all(ad.add(h_new, c_new))
 
-        loss = run()
-        ad.backward(loss)
-        for t in p.tensors():
-            num = numeric_grad(lambda: run().item(), t.data)
-            assert rel_err(t.grad, num) < 1e-5
-            t.zero_grad()
+        for state in (c, None):
+            loss = run(state)
+            ad.backward(loss)
+            for t in p.tensors():
+                num = numeric_grad(lambda: run(state).item(), t.data)
+                assert rel_err(t.grad, num) < 1e-5
+                t.zero_grad()
 
 
 class TestGradMode:
@@ -227,3 +292,39 @@ class TestCheckpoint:
         assert meta["kind"] == "test"
         for name, arr in arrays.items():
             assert np.array_equal(loaded[name], arr)
+
+    def test_blob_size_checked_against_index(self, tmp_path):
+        path = str(tmp_path / "ckpt")
+        ad.save_checkpoint(path, {"a": np.arange(6.0)})
+        with open(path + ".bin", "r+b") as fh:
+            fh.truncate(40)
+        with pytest.raises(DataError, match="runs past the end"):
+            ad.load_checkpoint(path)
+        with open(path + ".bin", "ab") as fh:
+            fh.write(bytes(16))
+        with pytest.raises(DataError, match="index describes 48"):
+            ad.load_checkpoint(path)
+
+    def test_missing_file_and_version_mismatch(self, tmp_path):
+        path = str(tmp_path / "ckpt")
+        with pytest.raises(DataError, match="cannot read"):
+            ad.load_checkpoint(path)
+        ad.save_checkpoint(path, {"a": np.zeros(2)}, metadata={"format_version": 1})
+        assert ad.load_checkpoint(path, format_version=1)[1]["format_version"] == 1
+        with pytest.raises(DataError, match="format version 1, expected 2"):
+            ad.load_checkpoint(path, format_version=2)
+
+    def test_interrupted_write_keeps_previous_files(self, tmp_path):
+        path = str(tmp_path / "ckpt")
+        ad.save_checkpoint(path, {"a": np.arange(3.0)}, metadata={"n": 1})
+
+        class Unwritable:
+            def __array__(self, dtype=None, copy=None):
+                raise OSError("disk full")
+
+        with pytest.raises(OSError, match="disk full"):
+            ad.save_checkpoint(path, {"a": np.zeros(5), "b": Unwritable()},
+                               metadata={"n": 2})
+        arrays, meta = ad.load_checkpoint(path)
+        assert arrays["a"].tolist() == [0.0, 1.0, 2.0] and meta == {"n": 1}
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt.bin", "ckpt.json"]

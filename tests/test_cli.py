@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import shutil
 
 import pytest
 
@@ -125,6 +126,88 @@ class TestPipeline:
         assert load_table(table).metadata["seed"] == 9
 
 
+def train_argv(workdir, out, episodes):
+    return ["train-matcher", "--dataset", workdir["ds"], "--table", workdir["table"],
+            "--out", out, "--set", "dim=16", "--set", "batch_size=8",
+            "--set", "eval_interval=5", "--set", "max_episodes=%d" % episodes,
+            "--set", "seed=2"]
+
+
+class TestResume:
+    def test_interrupted_run_plus_resume_logs_like_one_run(self, workdir, tmp_path):
+        # the interrupted run saves its state at step 10 and logs up to step 12;
+        # the resume replays steps 11 and 12, which must not be logged twice
+        whole, part = str(tmp_path / "whole"), str(tmp_path / "part")
+        assert main(train_argv(workdir, whole, 15)) == 0
+        assert main(train_argv(workdir, part, 12)) == 0
+        assert main(train_argv(workdir, part, 15) + ["--resume"]) == 0
+        with open(os.path.join(whole, "training-log.jsonl")) as fh:
+            want = fh.read()
+        with open(os.path.join(part, "training-log.jsonl")) as fh:
+            got = fh.read()
+        assert got == want
+        assert [json.loads(line)["step"] for line in got.splitlines()][-2:] == [15, 15]
+
+
+def copy_run(workdir, tmp_path):
+    run = str(tmp_path / "run")
+    shutil.copytree(workdir["run"], run)
+    return run
+
+
+def set_format_version(path, version):
+    with open(path + ".json") as fh:
+        header = json.load(fh)
+    if version is None:
+        del header["metadata"]["format_version"]
+    else:
+        header["metadata"]["format_version"] = version
+    with open(path + ".json", "w") as fh:
+        json.dump(header, fh)
+
+
+def truncate_blob(path):
+    with open(path + ".bin", "r+b") as fh:
+        fh.truncate(os.path.getsize(path + ".bin") - 200)
+
+
+class TestCheckpointValidation:
+    def evaluate(self, workdir, checkpoint):
+        return main(["evaluate", "--dataset", workdir["ds"], "--checkpoint", checkpoint,
+                     "--split", "test"])
+
+    def test_truncated_checkpoint_is_data_error(self, workdir, tmp_path, capsys):
+        checkpoint = os.path.join(copy_run(workdir, tmp_path), "matcher")
+        truncate_blob(checkpoint)
+        assert self.evaluate(workdir, checkpoint) == 2
+        assert "runs past the end" in capsys.readouterr().err
+
+    def test_old_format_version_is_data_error(self, workdir, tmp_path, capsys):
+        checkpoint = os.path.join(copy_run(workdir, tmp_path), "matcher")
+        set_format_version(checkpoint, 1)
+        assert self.evaluate(workdir, checkpoint) == 2
+        assert "format version 1" in capsys.readouterr().err
+
+    def test_missing_format_version_is_data_error(self, workdir, tmp_path, capsys):
+        checkpoint = os.path.join(copy_run(workdir, tmp_path), "matcher")
+        set_format_version(checkpoint, None)
+        assert self.evaluate(workdir, checkpoint) == 2
+        assert "format version None" in capsys.readouterr().err
+
+    def test_resume_from_truncated_state_is_data_error(self, workdir, tmp_path, capsys):
+        run = copy_run(workdir, tmp_path)
+        truncate_blob(os.path.join(run, "matcher.state"))
+        assert main(train_argv(workdir, run, 45) + ["--resume"]) == 2
+        assert "runs past the end" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("version", [1, None])
+    def test_resume_from_old_state_is_data_error(self, workdir, tmp_path, capsys, version):
+        run = copy_run(workdir, tmp_path)
+        set_format_version(os.path.join(run, "matcher.state"), version)
+        assert main(train_argv(workdir, run, 45) + ["--resume"]) == 2
+        assert "format version %s" % version in capsys.readouterr().err
+
+
 class TestExitCodes:
     def test_unknown_flag_is_config_error(self, capsys):
         assert main(["generate-synthetic", "--nope", "x"]) == 1
@@ -138,6 +221,11 @@ class TestExitCodes:
 
     def test_evaluate_without_model_is_config_error(self, workdir):
         assert main(["evaluate", "--dataset", workdir["ds"]]) == 1
+
+    def test_missing_dataset_directory_is_data_error(self, workdir, tmp_path, capsys):
+        assert main(["evaluate", "--dataset", str(tmp_path / "nowhere"), "--checkpoint",
+                     os.path.join(workdir["run"], "matcher")]) == 2
+        assert "not a dataset directory" in capsys.readouterr().err
 
     def test_malformed_input_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.tsv"

@@ -10,8 +10,8 @@ from oneshot_kgc.errors import DataError
 from oneshot_kgc.evaluator import (QueryResult, RankingReport, aggregate_kshot,
                                    compute_metrics, evaluate_tasks,
                                    matcher_score_fn, rank_from_scores)
-from oneshot_kgc.graph_store import BackgroundGraph
 from oneshot_kgc.matcher import Matcher
+from reference import graph_from_lists, neighbor_lists
 
 
 class TestRanking:
@@ -24,6 +24,15 @@ class TestRanking:
 
     def test_all_tied_ranks_last(self):
         assert rank_from_scores([0.2, 0.2, 0.2, 0.2], truth_index=2) == 4
+
+    def test_rounding_near_tie_counts_against_the_truth(self):
+        # scores one rounding step apart (as two batch compositions give) tie
+        # pessimistically; a gap well above rounding does not
+        truth = 0.7
+        below = np.nextafter(truth, 0.0)
+        assert rank_from_scores([truth, below, 0.1], truth_index=0) == 2
+        assert rank_from_scores([truth, truth - 5e-13, 0.1], truth_index=0) == 2
+        assert rank_from_scores([truth, truth - 1e-9, 0.1], truth_index=0) == 1
 
     def test_matches_brute_force_sort_oracle(self):
         rng = np.random.default_rng(0)
@@ -162,12 +171,12 @@ class TestMatcherScoreFn:
         known = {t for h, _, t in task.all_triples() if h == head}
         isolated = next(c for c in cands if c not in known | {head})
         task.queries[0] = (head, truth, sorted(set(cands) | {head}))
-        lists = list(graph.neighbors)
+        lists = neighbor_lists(graph)
         lists[isolated] = []
         matcher = Matcher(8, steps=2, seed=3)
         matcher.attach_table(random_table(ds.vocab.n_entities, ds.vocab.n_relations, 8,
                                           seed=3), trainable=False)
-        return task, matcher, BackgroundGraph(lists, graph.max_neighbors), head, isolated
+        return task, matcher, graph_from_lists(lists, graph.max_neighbors), head, isolated
 
     @staticmethod
     def recording(score_fn):

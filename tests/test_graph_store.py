@@ -3,10 +3,12 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from oneshot_kgc.errors import ParseError
+from oneshot_kgc.errors import DataError, ParseError
 from oneshot_kgc.graph_store import (BackgroundGraph, Triple, Vocab,
                                      build_candidates, build_neighbor_index,
                                      load_triples)
+from reference import (degree, graph_from_lists, listwise_neighbor_index,
+                       neighbor_lists)
 
 
 def write(tmp_path, lines, name="triples.tsv"):
@@ -71,44 +73,62 @@ class TestNeighborIndex:
     def test_under_cap_keeps_all(self):
         triples = [Triple(0, 0, i) for i in range(1, 4)]
         g = build_neighbor_index(triples, 5, max_neighbors=50)
-        assert g.degree(0) == 3
+        assert degree(g, 0) == 3
 
     def test_over_cap_samples_subset(self):
         triples = [Triple(0, 0, i) for i in range(1, 81)]
         g = build_neighbor_index(triples, 81, max_neighbors=50, seed=1)
-        assert g.degree(0) == 50
-        assert set(g.neighbors[0]) <= {(0, i) for i in range(1, 81)}
+        assert degree(g, 0) == 50
+        assert set(neighbor_lists(g)[0]) <= {(0, i) for i in range(1, 81)}
 
     def test_deterministic_under_seed(self):
         triples = [Triple(0, 0, i) for i in range(1, 200)]
         a = build_neighbor_index(triples, 200, max_neighbors=50, seed=9)
         b = build_neighbor_index(triples, 200, max_neighbors=50, seed=9)
-        assert a.neighbors == b.neighbors
+        assert neighbor_lists(a) == neighbor_lists(b)
 
     def test_isolated_entities_legal(self):
         g = build_neighbor_index([Triple(0, 0, 1)], 4, max_neighbors=50)
-        assert g.neighbors[2] == []
-        assert g.neighbors[3] == []
+        assert neighbor_lists(g)[2] == []
+        assert neighbor_lists(g)[3] == []
 
     def test_degree_histogram_matches_brute_force(self, ds, graph):
         brute = Counter()
         capped = Counter(Counter(t.head for t in ds.background))
         for eid in range(ds.vocab.n_entities):
             brute[min(capped.get(eid, 0), graph.max_neighbors)] += 1
-        assert graph.degree_histogram() == brute
+        assert Counter(degree(graph, e) for e in range(graph.n_entities)) == brute
 
     def test_background_graph_has_no_task_relations(self, ds, graph):
         task_rels = set(ds.manifest.task_relations())
-        for lst in graph.neighbors:
-            for r, _ in lst:
-                assert r not in task_rels
+        assert task_rels.isdisjoint(graph.rel.tolist())
 
-    def test_padded_arrays_consistent(self):
-        g = BackgroundGraph([[(0, 1), (1, 2)], []], max_neighbors=3)
-        rel, ent, counts = g.padded_arrays()
-        assert rel.tolist() == [[0, 1, -1], [-1, -1, -1]]
-        assert ent.tolist() == [[1, 2, -1], [-1, -1, -1]]
-        assert counts.tolist() == [2, 0]
+    def test_csr_arrays_consistent(self):
+        g = graph_from_lists([[(0, 1), (1, 2)], []], cap=3)
+        assert g.indptr.tolist() == [0, 2, 2]
+        assert g.rel.tolist() == [0, 1]
+        assert g.ent.tolist() == [1, 2]
+        assert g.n_entities == 2
+
+    def test_lists_keep_input_order(self):
+        triples = [Triple(2, 0, 5), Triple(0, 1, 3), Triple(2, 1, 4), Triple(0, 0, 1)]
+        g = build_neighbor_index(triples, 6, max_neighbors=50)
+        assert neighbor_lists(g)[:3] == [[(1, 3), (0, 1)], [], [(0, 5), (1, 4)]]
+
+    def test_matches_listwise_build_with_downsampling(self):
+        # the capped neighbor sets come from the same rng.choice calls, in the
+        # same entity order, as a build that caps one list at a time
+        rng = np.random.default_rng(8)
+        n_ent = 60
+        for cap in (1, 3, 7, 50):
+            triples = [Triple(int(h), int(rng.integers(5)), int(rng.integers(n_ent)))
+                       for h in rng.integers(n_ent, size=400)]
+            got = neighbor_lists(build_neighbor_index(triples, n_ent, cap, seed=cap))
+            assert got == listwise_neighbor_index(triples, n_ent, cap, seed=cap)
+
+    def test_over_cap_list_rejected(self):
+        with pytest.raises(DataError, match="cap"):
+            BackgroundGraph([0, 2], [0, 1], [1, 2], 1)
 
 
 class TestCandidates:

@@ -6,8 +6,9 @@ import pytest
 from oneshot_kgc import autodiff as ad
 from oneshot_kgc.embeddings import EmbeddingTable, random_table
 from oneshot_kgc.errors import ConfigError
-from oneshot_kgc.graph_store import BackgroundGraph, Triple, build_neighbor_index
 from oneshot_kgc.matcher import Matcher, hinge_loss, load_matcher, save_matcher
+from reference import (encode_one, graph_from_lists, padded_encode,
+                       unfactored_match_scores)
 
 
 def make_matcher(dim, n_ent=10, n_rel=4, seed=0, **kw):
@@ -17,8 +18,7 @@ def make_matcher(dim, n_ent=10, n_rel=4, seed=0, **kw):
 
 
 def graph_of(neighbors, n_ent, cap=50):
-    lists = [list(neighbors.get(e, [])) for e in range(n_ent)]
-    return BackgroundGraph(lists, max_neighbors=cap)
+    return graph_from_lists([list(neighbors.get(e, [])) for e in range(n_ent)], cap)
 
 
 class TestConstruction:
@@ -40,8 +40,8 @@ class TestNeighborEncoder:
     def test_isolated_entity_encodes_to_zero(self):
         m = make_matcher(4)
         g = graph_of({}, 10)
-        out = m.encode_neighbors(3, g)
-        assert np.array_equal(out.data, np.zeros(4))
+        out = encode_one(m, 3, g)
+        assert np.array_equal(out, np.zeros(4))
 
     def test_single_neighbor_scalar_oracle(self):
         # d=1, one neighbor: tanh(w . (vr ++ ve) + b); arranged to hit 0.35
@@ -52,29 +52,29 @@ class TestNeighborEncoder:
         m.w_c.data[...] = [[0.1], [0.05]]      # 0.1*3 + 0.05*2 = 0.4
         m.b_c.data[...] = [-0.05]
         g = graph_of({0: [(0, 1)]}, 2)
-        out = m.encode_neighbors(0, g)
-        assert out.data[0] == pytest.approx(math.tanh(0.35), abs=1e-12)
-        assert out.data[0] == pytest.approx(0.336376, abs=1e-6)
+        out = encode_one(m, 0, g)
+        assert out[0] == pytest.approx(math.tanh(0.35), abs=1e-12)
+        assert out[0] == pytest.approx(0.336376, abs=1e-6)
 
     def test_permutation_invariance(self):
         m = make_matcher(6, n_ent=30, n_rel=5, seed=1)
         nbrs = [(i % 5, 10 + i) for i in range(12)]
-        a = m.encode_neighbors(0, graph_of({0: nbrs}, 30)).data
-        b = m.encode_neighbors(0, graph_of({0: nbrs[::-1]}, 30)).data
+        a = encode_one(m, 0, graph_of({0: nbrs}, 30))
+        b = encode_one(m, 0, graph_of({0: nbrs[::-1]}, 30))
         assert np.max(np.abs(a - b)) < 1e-12
 
     def test_duplication_invariant_with_scaling(self):
         m = make_matcher(6, n_ent=30, n_rel=5, seed=2)
         nbrs = [(1, 11), (2, 12)]
-        a = m.encode_neighbors(0, graph_of({0: nbrs}, 30)).data
-        b = m.encode_neighbors(0, graph_of({0: nbrs * 3}, 30)).data
+        a = encode_one(m, 0, graph_of({0: nbrs}, 30))
+        b = encode_one(m, 0, graph_of({0: nbrs * 3}, 30))
         assert np.max(np.abs(a - b)) < 1e-12
 
     def test_duplication_changes_output_without_scaling(self):
         m = make_matcher(6, n_ent=30, n_rel=5, seed=2, use_scaling_factor=False)
         nbrs = [(1, 11), (2, 12)]
-        a = m.encode_neighbors(0, graph_of({0: nbrs}, 30)).data
-        b = m.encode_neighbors(0, graph_of({0: nbrs * 3}, 30)).data
+        a = encode_one(m, 0, graph_of({0: nbrs}, 30))
+        b = encode_one(m, 0, graph_of({0: nbrs * 3}, 30))
         # sum pooling: tripling the multiset triples the pre-activation
         assert not np.allclose(a, b)
 
@@ -87,8 +87,38 @@ class TestNeighborEncoder:
     def test_encoder_ablation_returns_raw_embedding(self):
         m = make_matcher(4, seed=4, use_neighbor_encoder=False)
         g = graph_of({2: [(0, 1), (1, 3)]}, 10)
-        out = m.encode_neighbors(2, g)
-        assert np.array_equal(out.data, m.ent_emb.data[2])
+        out = encode_one(m, 2, g)
+        assert np.array_equal(out, m.ent_emb.data[2])
+
+
+class TestAgainstPaddedEncoder:
+    """The CSR pool-then-project encoder against the padded reference."""
+
+    CAP = 6
+
+    def random_graph(self, rng, n_ent, n_rel):
+        # every degree from 0 to the cap occurs, 1 and the cap included
+        lists = [[(int(rng.integers(n_rel)), int(rng.integers(n_ent)))
+                  for _ in range(e % (self.CAP + 1))] for e in range(n_ent)]
+        rng.shuffle(lists)
+        return graph_from_lists(lists, self.CAP)
+
+    @pytest.mark.parametrize("scaling", [True, False])
+    @pytest.mark.parametrize("dropout", [0.0, 0.3])
+    def test_matches_within_1e12(self, scaling, dropout):
+        rng = np.random.default_rng(21)
+        for trial in range(5):
+            m = make_matcher(5, n_ent=40, n_rel=4, seed=trial, dropout=dropout,
+                             use_scaling_factor=scaling)
+            g = self.random_graph(rng, 40, 4)
+            ids = rng.permutation(40)[:25]
+            assert {int(g.indptr[e + 1] - g.indptr[e]) for e in ids} >= {0, 1, self.CAP}
+            got = m.encode_entities(ids, g).data
+            assert np.max(np.abs(got - padded_encode(m, ids, g))) <= 1e-12
+            # training mode draws the same dropout mask from the same stream
+            got = m.encode_entities(ids, g, rng=np.random.default_rng(trial)).data
+            want = padded_encode(m, ids, g, rng=np.random.default_rng(trial))
+            assert np.max(np.abs(got - want)) <= 1e-12
 
 
 class TestMatchingProcessor:
@@ -145,6 +175,32 @@ class TestMatchingProcessor:
         a = Matcher(4, steps=1, seed=11).match_scores(ad.Tensor(s), ad.Tensor(q))[0].data
         b = Matcher(4, steps=3, seed=11).match_scores(ad.Tensor(s), ad.Tensor(q))[0].data
         assert not np.allclose(a, b)
+
+
+class TestAgainstUnfactoredProcessor:
+    """The factored matching processor against the per-gate reference."""
+
+    @pytest.mark.parametrize("steps", [1, 2, 3])
+    def test_matches_within_1e12(self, steps):
+        rng = np.random.default_rng(30 + steps)
+        m = Matcher(4, steps=steps, seed=steps)
+        for t in m.cell.tensors():
+            t.data[...] += rng.normal(scale=0.3, size=t.shape)
+        s = rng.normal(size=8)
+        q = rng.normal(size=(7, 8))
+        got = m.match_scores(ad.Tensor(s), ad.Tensor(q))[0].data
+        assert np.max(np.abs(got - unfactored_match_scores(m, s, q))) <= 1e-12
+
+    def test_entity_gates_give_the_query_gates(self):
+        rng = np.random.default_rng(33)
+        m = Matcher(4, steps=2, seed=33)
+        enc = rng.normal(size=(6, 4))
+        heads, tails = np.array([0, 0, 2, 5]), np.array([1, 3, 3, 4])
+        q = np.hstack([enc[heads], enc[tails]])
+        head_gates, tail_gates = m.entity_gates(enc)
+        s = ad.Tensor(rng.normal(size=8))
+        got = m.match_scores(s, ad.Tensor(q), head_gates[heads] + tail_gates[tails])[0].data
+        assert np.max(np.abs(got - unfactored_match_scores(m, s.data, q))) <= 1e-12
 
 
 class TestEndToEnd:
