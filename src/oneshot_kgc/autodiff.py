@@ -5,6 +5,12 @@ and column slices, pointwise nonlinearities, segment means, row-wise cosine
 similarity, dropout and a fused-gate LSTM cell composed from the primitives.
 Gradients accumulate additively and are replayed in exact reverse execution
 order.
+
+A tensor's gradient is ``None`` until something flows into it. Gathering rows
+of a leaf table records a row-sparse :class:`RowGrad` (row ids and rows), so
+a step that reads a few rows of a large embedding table never materialises a
+table-sized gradient; every other gradient is a dense array of the tensor's
+shape. :class:`Adam` updates only the rows a gradient holds.
 """
 
 from __future__ import annotations
@@ -51,7 +57,7 @@ class Tensor:
             raise ValueError("only scalar, 1-D and 2-D tensors are supported, got shape %s" % (arr.shape,))
         self.data = arr
         self.requires_grad = requires_grad
-        self.grad = np.zeros_like(arr) if requires_grad else None
+        self.grad = None
         self._parents = ()
         self._backward = None
         self._done = False
@@ -69,11 +75,68 @@ class Tensor:
         return float(self.data)
 
     def zero_grad(self):
-        if self.grad is not None:
-            self.grad[...] = 0.0
+        self.grad = None
+
+    def dense_grad(self):
+        """The gradient as an array of the tensor's shape (zeros when there is none)."""
+        if self.grad is None:
+            return np.zeros_like(self.data)
+        if isinstance(self.grad, RowGrad):
+            return self.grad.dense(self.data.shape)
+        return self.grad
+
+    def grad_norm(self):
+        """L2 norm of the gradient (0 when there is none)."""
+        if self.grad is None:
+            return 0.0
+        if isinstance(self.grad, RowGrad):
+            return float(np.linalg.norm(self.grad.coalesce()[1]))
+        return float(np.linalg.norm(self.grad))
 
     def __repr__(self):
         return "Tensor(shape=%s, op=%s, requires_grad=%s)" % (self.shape, self._op, self.requires_grad)
+
+
+class RowGrad:
+    """Row-sparse gradient of a 2-D leaf table: the sum of recorded (ids, rows) chunks.
+
+    :meth:`coalesce` merges the chunks into one row per distinct id, ids
+    ascending. Rows of a repeated id are summed in the order they were
+    recorded, so the result is deterministic and equal to scattering the
+    chunks one by one into a zero table.
+    """
+    __slots__ = ("_ids", "_rows", "_merged")
+
+    def __init__(self):
+        self._ids = []
+        self._rows = []
+        self._merged = None
+
+    def add(self, ids, rows):
+        self._ids.append(ids)
+        self._rows.append(rows)
+        self._merged = None
+
+    def coalesce(self):
+        """``(ids, rows)``: distinct ids ascending and each id's summed gradient row."""
+        if self._merged is None:
+            ids = np.concatenate(self._ids)
+            rows = np.concatenate(self._rows)
+            order = np.argsort(ids, kind="stable")
+            ids, rows = ids[order], rows[order]
+            first = np.flatnonzero(np.diff(ids, prepend=-1))
+            if ids.size:
+                rows = np.add.reduceat(rows, first, axis=0)
+            ids = ids[first]
+            self._ids, self._rows = [ids], [rows]
+            self._merged = (ids, rows)
+        return self._merged
+
+    def dense(self, shape):
+        out = np.zeros(shape)
+        ids, rows = self.coalesce()
+        out[ids] = rows
+        return out
 
 
 def _to_tensor(x):
@@ -96,10 +159,17 @@ def _make(data, op, parents, backward):
     return out
 
 
-def _accum(t, g):
+def _grad_buffer(t):
+    """The dense gradient array of ``t``, made (or densified from a RowGrad) on first use."""
     if t.grad is None:
         t.grad = np.zeros_like(t.data)
-    t.grad += g
+    elif isinstance(t.grad, RowGrad):
+        t.grad = t.grad.dense(t.data.shape)
+    return t.grad
+
+
+def _accum(t, g):
+    _grad_buffer(t)[...] += g
 
 
 def _unbroadcast(g, shape):
@@ -262,7 +332,11 @@ def sum_all(x):
 
 
 def gather_rows(table, indices):
-    """Select rows of a 2-D table; index -1 yields a zero row (dummy entry)."""
+    """Select rows of a 2-D table; index -1 yields a zero row (dummy entry).
+
+    A leaf table receives its gradient as a :class:`RowGrad` over the gathered
+    ids (dummy entries dropped); any other table receives a dense one.
+    """
     table = _to_tensor(table)
     idx = np.asarray(indices, dtype=np.intp)
     if table.ndim != 2 or idx.ndim != 1:
@@ -272,10 +346,14 @@ def gather_rows(table, indices):
     out_data[valid] = table.data[idx[valid]]
 
     def backward(g):
-        if _tracked(table):
+        if not _tracked(table):
+            return
+        if table._backward is None and not isinstance(table.grad, np.ndarray):
             if table.grad is None:
-                table.grad = np.zeros_like(table.data)
-            np.add.at(table.grad, idx[valid], g[valid])
+                table.grad = RowGrad()
+            table.grad.add(idx[valid], g[valid])
+        else:
+            np.add.at(_grad_buffer(table), idx[valid], g[valid])
 
     return _make(out_data, "gather_rows", (table,), backward)
 
@@ -288,9 +366,7 @@ def columns(x, start, stop):
 
     def backward(g):
         if _tracked(x):
-            if x.grad is None:
-                x.grad = np.zeros_like(x.data)
-            x.grad[:, start:stop] += g
+            _grad_buffer(x)[:, start:stop] += g
 
     return _make(x.data[:, start:stop], "columns", (x,), backward)
 
@@ -498,7 +574,14 @@ def halving_schedule(half_every):
 
 
 class Adam:
-    """Adam with bias correction over a list of parameter tensors."""
+    """Adam with bias correction over a list of parameter tensors.
+
+    Each step updates the rows a gradient holds: every row of a dense
+    gradient, the recorded rows of a :class:`RowGrad`. A row without a
+    gradient keeps its value and its moments, and bias correction uses the
+    global step count, as in ``torch.optim.SparseAdam`` and LazyAdam. A
+    tensor without a gradient is left alone.
+    """
 
     def __init__(self, params, lr=0.001, beta1=0.9, beta2=0.999, eps=1e-8, schedule=None):
         self.params = list(params)
@@ -512,25 +595,37 @@ class Adam:
         self._v = [np.zeros_like(p.data) for p in self.params]
 
     def current_lr(self):
-        lr = self.lr
-        if self.schedule is not None:
-            lr *= self.schedule(self.t if self.t > 0 else 1)
-        return lr
+        """Learning rate of the latest step (of the first one before any step)."""
+        if self.schedule is None:
+            return self.lr
+        return self.lr * self.schedule(max(self.t, 1))
 
     def step(self):
         self.t += 1
-        lr = self.lr * (self.schedule(self.t) if self.schedule is not None else 1.0)
+        lr = self.current_lr()
+        bias1, bias2 = 1.0 - self.beta1 ** self.t, 1.0 - self.beta2 ** self.t
         for p, m, v in zip(self.params, self._m, self._v):
-            g = p.grad
-            if g is None:
+            if p.grad is None:
                 continue
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            m_hat = m / (1.0 - self.beta1 ** self.t)
-            v_hat = v / (1.0 - self.beta2 ** self.t)
-            p.data -= lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            if isinstance(p.grad, RowGrad):
+                rows, g = p.grad.coalesce()
+                m_r, v_r, p_r = m[rows], v[rows], p.data[rows]
+            else:
+                rows, g = None, p.grad
+                m_r, v_r, p_r = m, v, p.data
+            # in place: the moments, then p -= lr * m_hat / (sqrt(v_hat) + eps)
+            m_r *= self.beta1
+            m_r += (1.0 - self.beta1) * g
+            v_r *= self.beta2
+            v_r += (1.0 - self.beta2) * g * g
+            update = m_r / bias1
+            update *= lr
+            denom = np.sqrt(v_r / bias2)
+            denom += self.eps
+            update /= denom
+            p_r -= update
+            if rows is not None:
+                m[rows], v[rows], p.data[rows] = m_r, v_r, p_r
 
     def zero_grad(self):
         for p in self.params:

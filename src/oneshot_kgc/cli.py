@@ -131,15 +131,24 @@ def cmd_train_matcher(args):
     log_path = os.path.join(args.out, "training-log.jsonl")
     checkpoint = os.path.join(args.out, "matcher")
     kept = _log_up_to_resumed_step(log_path, checkpoint) if args.resume else []
-    with open(log_path, "w") as log_fh:
-        log_fh.writelines(kept)
-        def log_fn(record):
-            log_fh.write(json.dumps(record, sort_keys=True) + "\n")
+    log_fh = None
 
+    def log_fn(record):
+        # the log is rewritten at the first record, so a refused resume leaves it whole
+        nonlocal log_fh
+        if log_fh is None:
+            log_fh = open(log_path, "w")
+            log_fh.writelines(kept)
+        log_fh.write(json.dumps(record, sort_keys=True) + "\n")
+
+    try:
         best, best_step = train(matcher, graph, ds.tasks_for("train"),
                                 ds.tasks_for("valid"), ds.vocab, cfg,
                                 log_fn=log_fn, checkpoint_path=checkpoint,
                                 resume=args.resume)
+    finally:
+        if log_fh is not None:
+            log_fh.close()
     print("best validation Hits@10 %.4f at step %d; checkpoint at %s"
           % (best, best_step, checkpoint))
 

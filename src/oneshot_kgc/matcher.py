@@ -123,12 +123,6 @@ class Matcher:
         bias = ad.mul(ad.Tensor(weight.astype(np.float64)[:, None]), self.b_c)
         return ad.tanh(ad.add(ad.matmul(pooled, self.w_c), bias))
 
-    def pair_representation(self, heads, tails, graph, rng=None):
-        """Concatenated neighbor encodings of (head, tail) pairs -> (B, 2d)."""
-        h = self.encode_entities(heads, graph, rng=rng)
-        t = self.encode_entities(tails, graph, rng=rng)
-        return ad.concat(h, t)
-
     # ------------------------------------------------------------------
     # matching processor
 
@@ -167,13 +161,27 @@ class Matcher:
         w_x = self.cell.W_x.data
         return encoded @ w_x[:self.dim], encoded @ w_x[self.dim:]
 
+    def match_pairs(self, reference, heads, tails, graph, rng=None):
+        """End-to-end: score (head, tail) query pairs against a reference pair.
+
+        Every distinct entity of the reference and the queries is encoded
+        once, in one call (one dropout draw), and all queries go through one
+        :meth:`match_scores` call. Returns ``(scores, n_zero)`` as that does.
+        """
+        n = len(heads)
+        ids, row = np.unique(np.concatenate([np.asarray(reference, dtype=np.intp),
+                                             np.asarray(heads, dtype=np.intp),
+                                             np.asarray(tails, dtype=np.intp)]),
+                             return_inverse=True)
+        encoded = self.encode_entities(ids, graph, rng=rng)
+        support = ad.reshape(ad.gather_rows(encoded, row[:2]), (2 * self.dim,))
+        queries = ad.concat(ad.gather_rows(encoded, row[2:2 + n]),
+                            ad.gather_rows(encoded, row[2 + n:]))
+        return self.match_scores(support, queries)
+
     def score_pairs(self, reference, heads, tails, graph, rng=None):
-        """End-to-end: encode reference pair and query pairs, return scores."""
-        ref_h, ref_t = reference
-        s = self.pair_representation([ref_h], [ref_t], graph, rng=rng)
-        s = ad.reshape(s, (2 * self.dim,))
-        q = self.pair_representation(heads, tails, graph, rng=rng)
-        return self.match_scores(s, q)[0]
+        """Scores of :meth:`match_pairs` alone, a (B,) tensor."""
+        return self.match_pairs(reference, heads, tails, graph, rng=rng)[0]
 
 
 def hinge_loss(score_pos, score_neg, gamma):

@@ -9,20 +9,21 @@ Hits@10 is retained.
 The episode stream is deterministic in (seed, step): task order per epoch and
 per-episode sampling both derive from the master seed and the step counter,
 so an interrupted run can resume from the last saved state with an identical
-subsequent loss trace.
+subsequent loss trace. The state records the run config, and a resume under
+another config (``max_episodes`` aside) is refused.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .config import substream
-from .errors import NumericError
+from .errors import DataError, NumericError
 from .evaluator import evaluate_tasks, matcher_score_fn
 from .graph_store import Triple
 from .matcher import FORMAT_VERSION, assign_arrays, hinge_loss, save_matcher
@@ -126,6 +127,7 @@ def train(matcher, graph, train_tasks, valid_tasks, vocab, config,
     names = matcher.named_parameters()
     if resume and state_path and ad.checkpoint_exists(state_path):
         arrays, meta = ad.load_checkpoint(state_path, format_version=FORMAT_VERSION)
+        _check_resumable(state_path, meta, config)
         targets = {name: p.data for name, p in names.items()}
         for i in range(len(params)):
             targets["adam_m.%d" % i] = opt._m[i]
@@ -138,6 +140,10 @@ def train(matcher, graph, train_tasks, valid_tasks, vocab, config,
         log.info("resumed from step %d", step)
 
     best_arrays = {name: p.data.copy() for name, p in names.items()}
+    if best_step >= 0:
+        # resumed: the best parameters so far are those of the best checkpoint
+        arrays, _ = ad.load_checkpoint(checkpoint_path, format_version=FORMAT_VERSION)
+        assign_arrays(best_arrays, arrays, checkpoint_path)
     stop = False
     while not stop:
         epoch = step // len(relations)
@@ -147,14 +153,14 @@ def train(matcher, graph, train_tasks, valid_tasks, vocab, config,
             step += 1
             if episode is None:
                 continue
-            loss_value = _episode_step(matcher, graph, episode, opt, config, rng)
-            if not np.isfinite(loss_value):
-                _dump_diagnostics(checkpoint_path, step, episode, loss_value)
+            stats = _episode_step(matcher, graph, episode, opt, config, rng)
+            if not np.isfinite(stats["loss"]):
+                _dump_diagnostics(checkpoint_path, step, episode, stats["loss"])
                 raise NumericError("non-finite loss at step %d (relation %s)"
                                    % (step, vocab.id2rel[episode.relation]))
             if log_fn:
                 log_fn({"step": step, "relation": vocab.id2rel[episode.relation],
-                        "loss": loss_value, "lr": opt.current_lr()})
+                        "lr": opt.current_lr(), **stats})
 
             if step % config.eval_interval == 0:
                 metrics = _validate(matcher, graph, valid_tasks, vocab)
@@ -170,7 +176,7 @@ def train(matcher, graph, train_tasks, valid_tasks, vocab, config,
                 else:
                     evals_since_best += 1
                 if state_path:
-                    _save_state(state_path, names, opt, step, best_metric, best_step)
+                    _save_state(state_path, names, opt, config, step, best_metric, best_step)
                 if evals_since_best >= config.patience:
                     stop = True
             if step >= config.max_episodes:
@@ -186,28 +192,54 @@ def train(matcher, graph, train_tasks, valid_tasks, vocab, config,
 
 
 def _episode_step(matcher, graph, episode, opt, config, rng):
-    s = matcher.pair_representation([episode.reference.head], [episode.reference.tail],
-                                    graph, rng=rng)
-    s = ad.reshape(s, (2 * matcher.dim,))
-    pos_h = np.array([h for h, _ in episode.positives], dtype=np.intp)
-    pos_t = np.array([t for _, t in episode.positives], dtype=np.intp)
-    neg_t = np.array([t for _, t in episode.negatives], dtype=np.intp)
-    q_pos = matcher.pair_representation(pos_h, pos_t, graph, rng=rng)
-    q_neg = matcher.pair_representation(pos_h, neg_t, graph, rng=rng)
-    pos_scores, _ = matcher.match_scores(s, q_pos)
-    neg_scores, _ = matcher.match_scores(s, q_neg)
+    """One optimizer step on an episode; returns its log fields.
+
+    The positives and negatives share their heads, so both are scored in one
+    2B-row batch: positives first, then negatives.
+    """
+    heads = np.array([h for h, _ in episode.positives], dtype=np.intp)
+    tails = np.array([t for _, t in episode.positives + episode.negatives], dtype=np.intp)
+    b = heads.size
+    scores, n_zero = matcher.match_pairs((episode.reference.head, episode.reference.tail),
+                                         np.concatenate([heads, heads]), tails, graph,
+                                         rng=rng)
+    scores = ad.reshape(scores, (1, 2 * b))
+    pos_scores, neg_scores = ad.columns(scores, 0, b), ad.columns(scores, b, 2 * b)
     loss = hinge_loss(pos_scores, neg_scores, config.margin)
     opt.zero_grad()
     ad.backward(loss)
     opt.step()
-    return loss.item()
+    hinge = (neg_scores.data - pos_scores.data) + config.margin
+    return {"loss": loss.item(), "active_hinge": float(np.mean(hinge > 0)),
+            "zero_norm": n_zero,
+            "grad_norm": {name: p.grad_norm()
+                          for name, p in matcher.named_parameters().items() if p.requires_grad}}
 
 
 def _validate(matcher, graph, valid_tasks, vocab):
     return evaluate_tasks(valid_tasks, matcher_score_fn(matcher, graph), vocab).metrics()
 
 
-def _save_state(state_path, names, opt, step, best_metric, best_step):
+def _resumable_config(config):
+    """The config fields a resumed run must share with the run it resumes."""
+    fields = asdict(config)
+    del fields["max_episodes"]      # a resume may train for longer
+    return fields
+
+
+def _check_resumable(state_path, meta, config):
+    saved, current = meta.get("config"), _resumable_config(config)
+    if not isinstance(saved, dict):
+        raise DataError("training state %s records no run config; it cannot be resumed"
+                        % state_path)
+    differing = sorted(k for k in set(saved) | set(current) if saved.get(k) != current.get(k))
+    if differing:
+        raise DataError("training state %s was saved under a different config: %s"
+                        % (state_path, ", ".join("%s %r != %r" % (k, saved.get(k), current.get(k))
+                                                 for k in differing)))
+
+
+def _save_state(state_path, names, opt, config, step, best_metric, best_step):
     arrays = {name: p.data for name, p in names.items()}
     for i in range(len(opt.params)):
         arrays["adam_m.%d" % i] = opt._m[i]
@@ -215,7 +247,8 @@ def _save_state(state_path, names, opt, step, best_metric, best_step):
     ad.save_checkpoint(state_path, arrays,
                        metadata={"format_version": FORMAT_VERSION, "step": step,
                                  "opt_t": opt.t, "best_metric": best_metric,
-                                 "best_step": best_step})
+                                 "best_step": best_step,
+                                 "config": _resumable_config(config)})
 
 
 def _dump_diagnostics(checkpoint_path, step, episode, loss_value):

@@ -149,7 +149,8 @@ class TestBackward:
         unused = ad.Tensor([3.0], requires_grad=True)
         loss = ad.sum_all(ad.mul(x, x))
         ad.backward(loss)
-        assert np.array_equal(unused.grad, [0.0])
+        assert unused.grad is None
+        assert np.array_equal(unused.dense_grad(), [0.0])
 
     def test_backward_without_graph_errors(self):
         with pytest.raises(NumericError, match="no recorded graph"):
@@ -167,7 +168,37 @@ class TestBackward:
         out = ad.gather_rows(table, np.array([0, 2, 2, -1]))
         assert np.array_equal(out.data[3], np.zeros(3))
         ad.backward(ad.sum_all(out))
-        assert np.array_equal(table.grad[:, 0], [1.0, 0.0, 2.0, 0.0])
+        assert isinstance(table.grad, ad.RowGrad)
+        ids, rows = table.grad.coalesce()
+        assert ids.tolist() == [0, 2]
+        assert rows.tolist() == [[1.0] * 3, [2.0] * 3]
+        assert np.array_equal(table.dense_grad()[:, 0], [1.0, 0.0, 2.0, 0.0])
+
+    def test_row_grad_sums_repeats_in_recorded_order(self):
+        rng = np.random.default_rng(11)
+        table = ad.Tensor(rng.normal(size=(6, 3)), requires_grad=True)
+        idx_a, idx_b = np.array([4, 1, 4, -1, 0]), np.array([-1, 1, 4, 5])
+        w_a, w_b = rng.normal(size=(5, 3)), rng.normal(size=(4, 3))
+        loss = ad.add(ad.sum_all(ad.mul(ad.gather_rows(table, idx_a), w_a)),
+                      ad.sum_all(ad.mul(ad.gather_rows(table, idx_b), w_b)))
+        ad.backward(loss)
+        ids, rows = table.grad.coalesce()
+        assert ids.tolist() == [0, 1, 4, 5]     # row 2 and 3 untouched, -1 dropped
+        # the same sums, in the same order, as scattering the chunks one by one
+        # in the order backward recorded them
+        want = np.zeros((6, 3))
+        for idx, w in ((idx_a, w_a), (idx_b, w_b)):
+            keep = idx >= 0
+            np.add.at(want, idx[keep], w[keep])
+        assert np.array_equal(table.dense_grad(), want)
+        assert table.grad_norm() == float(np.linalg.norm(want))
+
+    def test_gather_from_intermediate_gets_dense_grad(self):
+        x = ad.Tensor(np.ones((3, 2)), requires_grad=True)
+        mid = ad.mul(x, 2.0)
+        ad.backward(ad.sum_all(ad.gather_rows(mid, np.array([2, 2, -1]))))
+        assert isinstance(x.grad, np.ndarray)
+        assert x.grad.tolist() == [[0.0, 0.0], [0.0, 0.0], [4.0, 4.0]]
 
     @pytest.mark.parametrize("scale", [True, False])
     def test_segment_mean_grad(self, scale):
@@ -273,6 +304,42 @@ class TestAdam:
         opt = ad.Adam([p], lr=0.001)
         opt.step()
         assert p.data[0] == pytest.approx(-0.001, rel=1e-6)
+
+    def test_lazy_step_matches_dense_adam_when_every_row_has_a_gradient(self):
+        rng = np.random.default_rng(12)
+        start = rng.normal(size=(5, 3))
+        lazy = ad.Tensor(start.copy(), requires_grad=True)
+        opt = ad.Adam([lazy], lr=0.01, schedule=ad.halving_schedule(2))
+        dense, m, v = start.copy(), np.zeros((5, 3)), np.zeros((5, 3))
+        for t in range(1, 6):
+            ids = np.concatenate([rng.permutation(5), rng.integers(5, size=3)])
+            chunk = rng.normal(size=(ids.size, 3))
+            opt.zero_grad()
+            lazy.grad = ad.RowGrad()
+            lazy.grad.add(ids, chunk)
+            opt.step()
+            g = lazy.dense_grad()
+            lr = 0.01 * 0.5 ** ((t - 1) // 2)
+            m = 0.9 * m + 0.1 * g
+            v = 0.999 * v + 0.001 * g * g
+            dense -= lr * (m / (1 - 0.9 ** t)) / (np.sqrt(v / (1 - 0.999 ** t)) + 1e-8)
+            assert opt.current_lr() == lr
+            assert np.max(np.abs(lazy.data - dense) / np.abs(dense)) < 1e-15
+
+    def test_rows_without_gradient_keep_value_and_moments(self):
+        rng = np.random.default_rng(13)
+        table = ad.Tensor(rng.normal(size=(6, 2)), requires_grad=True)
+        opt = ad.Adam([table], lr=0.1)
+        for ids in ([0, 3], [3, 5], [0]):
+            before = [a.copy() for a in (table.data, opt._m[0], opt._v[0])]
+            opt.zero_grad()
+            ad.backward(ad.sum_all(ad.mul(ad.gather_rows(table, np.array(ids)), 3.0)))
+            opt.step()
+            untouched = [r for r in range(6) if r not in ids]
+            for now, then in zip((table.data, opt._m[0], opt._v[0]), before):
+                assert np.array_equal(now[untouched], then[untouched])
+                assert not np.any(now[ids] == then[ids])
+        assert np.array_equal(opt._m[0][[1, 2, 4]], np.zeros((3, 2)))
 
     def test_halving_schedule(self):
         sched = ad.halving_schedule(200000)

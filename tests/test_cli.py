@@ -147,6 +147,29 @@ class TestResume:
             got = fh.read()
         assert got == want
         assert [json.loads(line)["step"] for line in got.splitlines()][-2:] == [15, 15]
+        assert sha(os.path.join(part, "matcher.bin")) == sha(os.path.join(whole, "matcher.bin"))
+
+    def test_resume_with_another_lr_is_data_error(self, workdir, tmp_path, capsys):
+        run = str(tmp_path / "run")
+        assert main(train_argv(workdir, run, 12)) == 0
+        with open(os.path.join(run, "training-log.jsonl")) as fh:
+            log = fh.read()
+        assert main(train_argv(workdir, run, 15) + ["--set", "lr=0.002", "--resume"]) == 2
+        assert "different config: lr 0.001 != 0.002" in capsys.readouterr().err
+        with open(os.path.join(run, "training-log.jsonl")) as fh:
+            assert fh.read() == log
+
+    def test_resume_from_state_without_config_is_data_error(self, workdir, tmp_path, capsys):
+        run = str(tmp_path / "run")
+        assert main(train_argv(workdir, run, 10)) == 0
+        state = os.path.join(run, "matcher.state")
+        with open(state + ".json") as fh:
+            header = json.load(fh)
+        del header["metadata"]["config"]
+        with open(state + ".json", "w") as fh:
+            json.dump(header, fh)
+        assert main(train_argv(workdir, run, 15) + ["--resume"]) == 2
+        assert "records no run config" in capsys.readouterr().err
 
 
 def copy_run(workdir, tmp_path):

@@ -1,12 +1,16 @@
+import json
+
 import numpy as np
 import pytest
 
+from oneshot_kgc import autodiff as ad
 from oneshot_kgc import meta_trainer
 from oneshot_kgc.config import RunConfig
 from oneshot_kgc.dataset import TaskSet
 from oneshot_kgc.embeddings import random_table
+from oneshot_kgc.errors import DataError
 from oneshot_kgc.graph_store import Triple, build_neighbor_index
-from oneshot_kgc.matcher import Matcher
+from oneshot_kgc.matcher import Matcher, hinge_loss
 from oneshot_kgc.meta_trainer import TaskPool, sample_episode, train
 
 
@@ -92,13 +96,13 @@ class TrainHarness:
         background = [Triple(e, e % 4, (e + 1) % n_ent) for e in range(n_ent)]
         self.graph = build_neighbor_index(background, n_ent, max_neighbors=50, seed=0)
 
-    def matcher(self):
+    def matcher(self, trainable=True):
         m = Matcher(8, steps=2, dropout=0.0, seed=9)
-        m.attach_table(random_table(64, 4, 8, seed=9), trainable=True)
+        m.attach_table(random_table(64, 4, 8, seed=9), trainable=trainable)
         return m
 
-    def run(self, log_fn=None, checkpoint_path=None, resume=False, config=None):
-        return train(self.matcher(), self.graph, self.train_tasks, self.valid_tasks,
+    def run(self, log_fn=None, checkpoint_path=None, resume=False, config=None, matcher=None):
+        return train(matcher or self.matcher(), self.graph, self.train_tasks, self.valid_tasks,
                      self.vocab, config or self.config, log_fn=log_fn,
                      checkpoint_path=checkpoint_path, resume=resume)
 
@@ -177,3 +181,100 @@ class TestTraining:
         steps = [r["step"] for r in records if "loss" in r]
         # first eval sets the best (0.0 > -1), then two non-improving evals
         assert max(steps) == 15
+
+
+def scripted_validation(*scores):
+    values = iter(scores)
+
+    def validate(matcher, graph, valid_tasks, vocab):
+        v = next(values)
+        return {"mrr": v, "hits1": v, "hits5": v, "hits10": v}
+    return validate
+
+
+class TestResumeBest:
+    def test_resumed_run_ends_with_the_best_checkpoint(self, tmp_path, monkeypatch):
+        # best at step 5, state saved at step 10; the resumed run's one
+        # validation (step 15) does not beat it
+        h = TrainHarness()
+        full, part = str(tmp_path / "full"), str(tmp_path / "part")
+        monkeypatch.setattr(meta_trainer, "_validate", scripted_validation(0.5, 0.1, 0.1))
+        assert h.run(checkpoint_path=full) == (0.5, 5)
+        monkeypatch.setattr(meta_trainer, "_validate", scripted_validation(0.5, 0.1, 0.1))
+        h.run(checkpoint_path=part, config=small_config(seed=5, max_episodes=10))
+        monkeypatch.setattr(meta_trainer, "_validate", scripted_validation(0.5, 0.1, 0.1))
+        assert h.run(checkpoint_path=part, resume=True,
+                     config=small_config(seed=5, max_episodes=15)) == (0.5, 5)
+        want, got = ad.load_checkpoint(full)[0], ad.load_checkpoint(part)[0]
+        assert sorted(got) == sorted(want)
+        for name in want:
+            assert np.array_equal(got[name], want[name]), name
+
+    def test_resume_under_another_config_is_refused(self, tmp_path):
+        h = TrainHarness()
+        ckpt = str(tmp_path / "run")
+        h.run(checkpoint_path=ckpt, config=small_config(seed=5, max_episodes=10))
+        with pytest.raises(DataError, match=r"different config: dropout 0.0 != 0.1, lr "):
+            h.run(checkpoint_path=ckpt, resume=True,
+                  config=small_config(seed=5, max_episodes=15, lr=0.002, dropout=0.1))
+
+
+EPISODE_FIELDS = {"step", "relation", "loss", "lr", "active_hinge", "zero_norm", "grad_norm"}
+VALIDATION_FIELDS = {"step", "mrr", "hits1", "hits5", "hits10"}
+GROUPS = {"w_c", "b_c", "lstm.W_x", "lstm.W_h", "lstm.W_s", "lstm.b"}
+
+
+class TestEpisodeRecords:
+    def test_record_schema(self):
+        h = TrainHarness()
+        for trainable, groups in ((True, GROUPS | {"ent_emb", "rel_emb"}), (False, GROUPS)):
+            records = []
+            h.run(log_fn=records.append, matcher=h.matcher(trainable))
+            episodes = [r for r in records if "loss" in r]
+            assert len(episodes) == 15
+            assert all(set(r) == VALIDATION_FIELDS for r in records if "loss" not in r)
+            for r in episodes:
+                assert set(r) == EPISODE_FIELDS
+                assert json.loads(json.dumps(r)) == r
+                assert isinstance(r["relation"], str) and isinstance(r["zero_norm"], int)
+                assert 0.0 <= r["active_hinge"] <= 1.0
+                assert (r["active_hinge"] > 0) == (r["loss"] > 0)
+                assert set(r["grad_norm"]) == groups
+                assert all(isinstance(v, float) and v >= 0.0 for v in r["grad_norm"].values())
+                assert (r["grad_norm"]["w_c"] > 0) == (r["loss"] > 0)
+
+    def test_episode_encodes_once_and_matches_once(self, monkeypatch):
+        h = TrainHarness()
+        m = h.matcher()
+        calls = []
+        # (method, argument whose row count is checked): entity ids, query pairs
+        for method, arg in (("encode_entities", 0), ("match_scores", 1)):
+            original = getattr(Matcher, method)
+
+            def spy(self, *args, _name=method, _arg=arg, _original=original, **kw):
+                calls.append((_name, args[_arg].shape[0]))
+                return _original(self, *args, **kw)
+            monkeypatch.setattr(Matcher, method, spy)
+        entry = TaskPool(h.train_tasks).get(0)
+        episode = sample_episode(entry, 4, np.random.default_rng(0))
+        opt = ad.Adam(m.parameters())
+        meta_trainer._episode_step(m, h.graph, episode, opt, h.config, None)
+        ref = episode.reference
+        entities = {ref.head, ref.tail} | {e for pair in episode.positives + episode.negatives
+                                           for e in pair}
+        assert calls == [("encode_entities", len(entities)), ("match_scores", 8)]
+
+    def test_one_pass_loss_equals_separate_positive_and_negative_passes(self):
+        h = TrainHarness()
+        m = h.matcher()
+        entry = TaskPool(h.train_tasks).get(1)
+        episode = sample_episode(entry, 4, np.random.default_rng(2))
+        ref = (episode.reference.head, episode.reference.tail)
+        heads = [p[0] for p in episode.positives]
+        with ad.no_grad():
+            pos = m.score_pairs(ref, heads, [p[1] for p in episode.positives], h.graph)
+            neg = m.score_pairs(ref, heads, [n[1] for n in episode.negatives], h.graph)
+            want = hinge_loss(pos, neg, h.config.margin).item()
+        stats = meta_trainer._episode_step(m, h.graph, episode, ad.Adam(m.parameters()),
+                                           h.config, None)
+        assert stats["loss"] == pytest.approx(want, rel=1e-12)
