@@ -399,23 +399,16 @@ def segment_mean(x, counts, scale=True):
     return _make(out_data, "segment_mean", (x,), backward)
 
 
-def dropout(x, rate, rng, train, rows=None, n_rows=None):
-    """Inverted dropout: scales by 1/keep at train time, identity otherwise.
-
-    With ``rows``, ``x`` is a row subset of an ``n_rows``-row layout: the mask
-    is drawn for the whole layout and its row ``rows[k]`` applies to row k of
-    ``x``, so the random stream is that of a dropout over the full layout.
-    """
+def dropout(x, rate, rng):
+    """Inverted dropout with a mask drawn from ``rng``, scaled by 1/keep;
+    the identity when ``rng`` is None (evaluation)."""
     if not 0.0 <= rate < 1.0:
         raise NumericError("dropout rate must be in [0, 1), got %r" % rate)
     x = _to_tensor(x)
-    if not train or rate == 0.0:
+    if rng is None or rate == 0.0:
         return x
     keep = 1.0 - rate
-    if rows is None:
-        mask = (rng.random(x.shape) < keep) / keep
-    else:
-        mask = ((rng.random((n_rows, x.shape[1])) < keep) / keep)[rows]
+    mask = (rng.random(x.shape) < keep) / keep
 
     def backward(g):
         if _tracked(x):

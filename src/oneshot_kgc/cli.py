@@ -21,7 +21,7 @@ from .dataset import build_dataset, load_dataset
 from .errors import ConfigError, DataError, NumericError
 from .evaluator import embedding_score_fn, evaluate_tasks, matcher_score_fn
 from .graph_store import build_neighbor_index, load_triples
-from .matcher import Matcher, load_matcher
+from .matcher import SETTINGS, Matcher, load_matcher
 from .meta_trainer import train
 from .embeddings import (export_vectors, load_table, random_table, save_table,
                          train_embeddings)
@@ -107,8 +107,7 @@ def cmd_train_embeddings(args):
         margin=cfg.margin_embed, reg=cfg.l2_reg,
         batch_size=cfg.embedding_batch_size, seed=cfg.seed)
     table.metadata["regime"] = args.regime
-    exported = export_vectors(table) if args.export else table
-    save_table(args.out, exported)
+    save_table(args.out, table)
     print("trained %s on %d triples (%d epochs, final mean loss %.4f) -> %s"
           % (args.model, len(triples), cfg.embedding_epochs, losses[-1], args.out))
 
@@ -117,15 +116,13 @@ def cmd_train_matcher(args):
     cfg = _resolve_config(args)
     ds = load_dataset(args.dataset)
     table = load_table(args.table)
+    if cfg.dim != table.dim:
+        raise ConfigError("dim %d differs from the table's dimension %d" % (cfg.dim, table.dim))
     graph = build_neighbor_index(ds.background, ds.vocab.n_entities,
-                                 max_neighbors=cfg.max_neighbors, seed=cfg.seed)
-    matcher = Matcher(table.dim, steps=cfg.steps, dropout=cfg.dropout,
-                      max_neighbors=cfg.max_neighbors,
-                      use_neighbor_encoder=cfg.use_neighbor_encoder,
-                      use_matching_processor=cfg.use_matching_processor,
-                      use_scaling_factor=cfg.use_scaling_factor,
-                      seed=cfg.seed)
-    matcher.attach_table(table, trainable=cfg.train_embeddings)
+                                 max_neighbors=cfg.max_neighbors)
+    matcher = Matcher(table.dim, seed=cfg.seed, **{name: getattr(cfg, name) for name in SETTINGS})
+    matcher.attach_table(export_vectors(table), trainable=cfg.train_embeddings)
+    del table       # the matcher holds its own copy
     os.makedirs(args.out, exist_ok=True)
     cfg.to_file(os.path.join(args.out, "run-config.txt"))
     log_path = os.path.join(args.out, "training-log.jsonl")
@@ -193,7 +190,7 @@ def cmd_evaluate(args):
     if args.checkpoint:
         matcher = load_matcher(args.checkpoint)
         graph = build_neighbor_index(ds.background, ds.vocab.n_entities,
-                                     max_neighbors=matcher.max_neighbors, seed=cfg.seed)
+                                     max_neighbors=matcher.max_neighbors)
         score_fn = matcher_score_fn(matcher, graph,
                                     references_by_task=refs if args.shots > 1 else None)
     elif args.table:
@@ -238,8 +235,6 @@ def build_parser():
                    choices=["TransE", "DistMult", "ComplEx", "RESCAL", "random"])
     p.add_argument("--regime", choices=["matcher", "baseline"], default="matcher")
     p.add_argument("--out", required=True)
-    p.add_argument("--no-export", dest="export", action="store_false",
-                   help="keep the native (unpooled) parameter form")
     _add_config_overrides(p)
     p.set_defaults(func=cmd_train_embeddings)
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import dataclasses
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,7 +19,6 @@ from .errors import ConfigError
 class RunConfig:
     # embedding layer
     dim: int = 100
-    embedding_model: str = "TransE"
     embedding_epochs: int = 1000
     embedding_lr: float = 0.01
     embedding_batch_size: int = 512
@@ -29,7 +28,7 @@ class RunConfig:
     l2_reg: float = 1e-4
 
     # matcher
-    hidden: int = 200            # LSTM state size; must equal 2*dim
+    hidden: int | None = None    # LSTM state size: accepted only as 2*dim, its default
     steps: int = 2               # matching process steps
     dropout: float = 0.3
     max_neighbors: int = 50
@@ -47,17 +46,11 @@ class RunConfig:
     eval_interval: int = 1000
     patience: int = 10
 
-    # dataset
-    band_lo: int = 50
-    band_hi: int = 500
-    candidate_floor: int = 20
-    inverse_threshold: float = 0.95
-
     # reproducibility
     seed: int = 0
 
     def validate(self):
-        positive = ["dim", "embedding_epochs", "hidden", "steps", "max_neighbors",
+        positive = ["dim", "embedding_epochs", "steps", "max_neighbors",
                     "margin", "lr", "batch_size", "max_episodes", "eval_interval",
                     "patience", "negatives_per_positive"]
         for name in positive:
@@ -65,8 +58,11 @@ class RunConfig:
                 raise ConfigError("%s must be positive, got %r" % (name, getattr(self, name)))
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError("dropout must be in [0, 1), got %r" % self.dropout)
-        if self.band_lo >= self.band_hi:
-            raise ConfigError("band_lo must be < band_hi")
+        if self.hidden is None:
+            self.hidden = 2 * self.dim
+        if self.hidden != 2 * self.dim:
+            # the matcher's LSTM state has size 2*dim by construction
+            raise ConfigError("hidden must equal 2*dim = %d, got %r" % (2 * self.dim, self.hidden))
         return self
 
     def to_file(self, path):
@@ -89,24 +85,23 @@ class RunConfig:
         return cfg
 
     def set_option(self, key, value):
-        names = {f.name: f for f in dataclasses.fields(self)}
-        if key not in names:
+        if key not in {f.name for f in dataclasses.fields(self)}:
             raise ConfigError("unknown config option %r" % key)
-        ftype = names[key].type
         current = getattr(self, key)
-        if isinstance(current, bool):
-            parsed = str(value).strip().lower() in ("1", "true", "yes", "on")
-        elif isinstance(current, int):
-            parsed = int(str(value).strip().strip("'\""))
-        elif isinstance(current, float):
-            parsed = float(str(value).strip().strip("'\""))
-        else:
-            parsed = str(value).strip().strip("'\"")
+        text = str(value).strip().strip("'\"")
+        try:
+            if isinstance(current, bool):
+                parsed = text.lower() in ("1", "true", "yes", "on")
+            elif isinstance(current, int) or current is None:     # None: hidden left out
+                parsed = int(text)
+            elif isinstance(current, float):
+                parsed = float(text)
+            else:
+                parsed = text
+        except ValueError:
+            raise ConfigError("config option %s: cannot parse %r" % (key, value))
         setattr(self, key, parsed)
         return self
-
-    def replace(self, **kwargs):
-        return dataclasses.replace(self, **kwargs)
 
 
 def substream(master_seed, name):

@@ -73,12 +73,15 @@ def select_task_relations(triples, lo=50, hi=500):
     return tasks
 
 
-def detect_inverse_relations(triples, vocab, threshold=0.95):
+INVERSE_THRESHOLD = 0.95
+
+
+def detect_inverse_relations(triples, vocab):
     """Relation ids to drop because another relation mirrors their pairs.
 
-    A pair (r1, r2) is flagged when at least ``threshold`` of r1's (h, t)
-    pairs appear reversed under r2; the lexicographically larger name of a
-    flagged pair is dropped.
+    A pair (r1, r2) is flagged when at least ``INVERSE_THRESHOLD`` of r1's
+    (h, t) pairs appear reversed under r2; the lexicographically larger name
+    of a flagged pair is dropped.
     """
     pairs = defaultdict(set)
     for h, r, t in triples:
@@ -91,7 +94,7 @@ def detect_inverse_relations(triples, vocab, threshold=0.95):
             if r1 == r2:
                 continue
             overlap = len(pairs[r1] & reversed_pairs[r2])
-            if overlap / len(pairs[r1]) >= threshold:
+            if overlap / len(pairs[r1]) >= INVERSE_THRESHOLD:
                 drop.add(max(r1, r2, key=lambda r: vocab.id2rel[r]))
     return drop
 
@@ -175,13 +178,13 @@ def emit_dataset(out_dir, triples, vocab, manifest, candidate_floor=20):
 
 
 def build_dataset(out_dir, triples, vocab, counts=None, band=(50, 500), seed=0,
-                  candidate_floor=20, inverse_threshold=0.95, explicit_split=None):
+                  candidate_floor=20, explicit_split=None):
     """Full pipeline: inverse removal, band selection, split, emit.
 
     ``explicit_split`` optionally gives three lists of relation names instead
     of a seeded random partition. Returns the manifest (integer relation ids).
     """
-    drop = detect_inverse_relations(triples, vocab, threshold=inverse_threshold)
+    drop = detect_inverse_relations(triples, vocab)
     kept = [t for t in triples if t.relation not in drop]
     tasks = select_task_relations(kept, lo=band[0], hi=band[1])
     if explicit_split is not None:

@@ -2,8 +2,8 @@
 
 Four models: TransE, DistMult, ComplEx and RESCAL. TransE and RESCAL train
 with a margin ranking loss; DistMult and ComplEx with a softplus logistic
-loss plus L2 regularization. Each trained table can be exported to a unified
-1-D-vector-per-symbol form consumed by the matching model.
+loss plus L2 regularization. Tables are saved in their native form; the
+matching model consumes them exported to one 1-D vector per symbol.
 """
 
 from __future__ import annotations
@@ -40,23 +40,25 @@ def _init_uniform(rng, shape, dim):
     return rng.uniform(-bound, bound, size=shape)
 
 
+def _native_shapes(model, dim):
+    """Per-entity and per-relation array shapes of a ``model`` table."""
+    if model == "ComplEx":
+        return (2, dim // 2), (2, dim // 2)
+    if model == "RESCAL":
+        return (dim,), (dim, dim)
+    return (dim,), (dim,)
+
+
 def init_table(model, n_ent, n_rel, dim, rng):
     if model not in MODELS and model != "random":
         raise ConfigError("unknown embedding model %r" % model)
     if dim <= 0:
         raise ConfigError("embedding dimension must be positive")
-    if model == "ComplEx":
-        if dim % 2:
-            raise ConfigError("ComplEx requires an even dimension")
-        ent = _init_uniform(rng, (n_ent, 2, dim // 2), dim)
-        rel = _init_uniform(rng, (n_rel, 2, dim // 2), dim)
-    elif model == "RESCAL":
-        ent = _init_uniform(rng, (n_ent, dim), dim)
-        rel = _init_uniform(rng, (n_rel, dim, dim), dim)
-    else:
-        ent = _init_uniform(rng, (n_ent, dim), dim)
-        rel = _init_uniform(rng, (n_rel, dim), dim)
-    return EmbeddingTable(model, dim, ent, rel)
+    if model == "ComplEx" and dim % 2:
+        raise ConfigError("ComplEx requires an even dimension")
+    ent_shape, rel_shape = _native_shapes(model, dim)
+    return EmbeddingTable(model, dim, _init_uniform(rng, (n_ent,) + ent_shape, dim),
+                          _init_uniform(rng, (n_rel,) + rel_shape, dim))
 
 
 def random_table(n_ent, n_rel, dim, seed=0):
@@ -247,22 +249,21 @@ def _step_logistic(table, pos, neg, lr, reg):
 
 
 def export_vectors(table):
-    """Flatten a trained table to one d-vector per entity and per relation.
+    """Flatten a native table to one d-vector per entity and per relation.
 
     RESCAL relation matrices are mean-pooled row-wise; ComplEx vectors are the
     concatenation of the real and imaginary parts; TransE and DistMult are
-    exported unchanged.
+    exported unchanged. Arrays that need no change are shared, not copied.
     """
     meta = dict(table.metadata)
+    ent, rel = table.ent, table.rel
     if table.model == "RESCAL":
-        ent, rel = table.ent.copy(), table.rel.mean(axis=2)
+        rel = rel.mean(axis=2)
         meta["rescal_pooling"] = "row-wise mean"
     elif table.model == "ComplEx":
-        ent = table.ent.reshape(table.n_entities, table.dim).copy()
-        rel = table.rel.reshape(table.n_relations, table.dim).copy()
+        ent = ent.reshape(table.n_entities, table.dim)
+        rel = rel.reshape(table.n_relations, table.dim)
         meta["complex_layout"] = "real ++ imaginary"
-    else:
-        ent, rel = table.ent.copy(), table.rel.copy()
     meta["exported_from"] = table.model
     return EmbeddingTable(table.model, table.dim, ent, rel, meta)
 
@@ -278,6 +279,14 @@ def save_table(path, table):
 
 
 def load_table(path):
+    """A native table saved by :func:`save_table`; arrays of another shape
+    (an exported ComplEx or RESCAL table, say) are a data error."""
     arrays, meta = autodiff.load_checkpoint(path)
-    return EmbeddingTable(meta["model"], int(meta["dim"]),
-                          arrays["entities"], arrays["relations"], meta)
+    table = EmbeddingTable(meta["model"], int(meta["dim"]),
+                           arrays["entities"], arrays["relations"], meta)
+    ent_shape, rel_shape = _native_shapes(table.model, table.dim)
+    if table.ent.shape[1:] != ent_shape or table.rel.shape[1:] != rel_shape:
+        raise DataError("table %s: arrays of shape %s and %s do not fit a native %s table "
+                        "of dimension %d" % (path, table.ent.shape, table.rel.shape,
+                                             table.model, table.dim))
+    return table

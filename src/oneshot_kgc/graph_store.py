@@ -138,13 +138,13 @@ class BackgroundGraph:
         return self.indptr.size - 1
 
 
-def build_neighbor_index(triples, n_entities, max_neighbors=50, seed=0):
+def build_neighbor_index(triples, n_entities, max_neighbors=50):
     """Build the background graph, capping each neighbor list at the maximum.
 
     Each entity's list keeps its triples in input order. Over-cap lists are
     downsampled once, uniformly without replacement, in ascending entity
-    order under the given seed; the result is deterministic in
-    (triples, cap, seed).
+    order from one fixed random stream, so the graph depends only on
+    (triples, cap): training and evaluation see the same graph.
     """
     if max_neighbors <= 0:
         raise DataError("max_neighbors must be positive")
@@ -156,7 +156,7 @@ def build_neighbor_index(triples, n_entities, max_neighbors=50, seed=0):
         raise DataError("background triples name entities beyond the %d known" % n_entities)
     starts = np.concatenate([[0], np.cumsum(counts)])
     keep = np.ones(len(coded), dtype=bool)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     for eid in np.flatnonzero(counts > max_neighbors):
         picked = rng.choice(int(counts[eid]), size=max_neighbors, replace=False)
         dropped = np.ones(counts[eid], dtype=bool)

@@ -24,24 +24,27 @@ from .errors import ConfigError, DataError, NumericError
 # recording another version (or none) is rejected on load
 FORMAT_VERSION = 2
 
+# the model's settings: Matcher keyword arguments and RunConfig fields of the
+# same names, recorded in every saved matcher
+SETTINGS = ("steps", "dropout", "max_neighbors", "use_neighbor_encoder",
+            "use_matching_processor", "use_scaling_factor")
+
 
 class Matcher:
-    """Holds all trainable tensors and the ablation switches."""
+    """Holds all trainable tensors and the ablation switches.
+
+    The LSTM state has size 2*dim: the residual query connection and the
+    cosine against the reference both put it in the pair space.
+    """
 
     def __init__(self, dim, steps=2, dropout=0.3, max_neighbors=50,
                  use_neighbor_encoder=True, use_matching_processor=True,
-                 use_scaling_factor=True, hidden=None, seed=0):
+                 use_scaling_factor=True, seed=0):
         if steps < 1:
             raise ConfigError("process step count must be >= 1")
         if not 0.0 <= dropout < 1.0:
             raise ConfigError("dropout rate must be in [0, 1)")
-        hidden = 2 * dim if hidden is None else hidden
-        if hidden != 2 * dim:
-            # the residual q-connection and the cosine against the reference
-            # both force the recurrent state to live in the pair space
-            raise ConfigError("hidden size must equal 2*dim (got %d, dim %d)" % (hidden, dim))
         self.dim = dim
-        self.hidden = hidden
         self.steps = steps
         self.dropout = dropout
         self.max_neighbors = max_neighbors
@@ -53,7 +56,7 @@ class Matcher:
         self.w_c = ad.Tensor(ad.glorot_uniform(rng, 2 * dim, dim), requires_grad=True)
         self.b_c = ad.Tensor(np.zeros(dim), requires_grad=True)
         # step input = query pair (2d); side input = reference pair (2d)
-        self.cell = ad.init_lstm(2 * dim, hidden, 2 * dim, rng)
+        self.cell = ad.init_lstm(2 * dim, 2 * dim, 2 * dim, rng)
 
         self.ent_emb = None
         self.rel_emb = None
@@ -106,17 +109,12 @@ class Matcher:
             return ad.gather_rows(self.ent_emb, entity_ids)
         starts = graph.indptr[entity_ids]
         counts = graph.indptr[entity_ids + 1] - starts
-        # position of each neighbor in its CSR list and in its entity's batch row
-        first = np.repeat(np.cumsum(counts) - counts, counts)
-        rank = np.arange(first.size) - first
-        slots = np.repeat(starts, counts) + rank
+        # CSR slot of each neighbor, entity by entity in batch order
+        offsets = np.cumsum(counts) - counts
+        slots = np.arange(counts.sum()) + np.repeat(starts - offsets, counts)
         x = ad.concat(ad.gather_rows(self.rel_emb, graph.rel[slots]),
                       ad.gather_rows(self.ent_emb, graph.ent[slots]))
-        # the mask is drawn over every entity's cap-long row block, padding included
-        cap = graph.max_neighbors
-        x = ad.dropout(x, self.dropout, rng, rng is not None,
-                       rows=np.repeat(np.arange(entity_ids.size) * cap, counts) + rank,
-                       n_rows=entity_ids.size * cap)
+        x = ad.dropout(x, self.dropout, rng)
         pooled = ad.segment_mean(x, counts, scale=self.use_scaling_factor)
         # mean_k(W x_k + b) = W mean_k(x_k) + b; a sum pool adds the bias count times
         weight = (counts > 0) if self.use_scaling_factor else counts
@@ -198,12 +196,8 @@ def hinge_loss(score_pos, score_neg, gamma):
 def save_matcher(path, matcher):
     arrays = {name: t.data for name, t in matcher.named_parameters().items()}
     meta = {
-        "format_version": FORMAT_VERSION,
-        "dim": matcher.dim, "hidden": matcher.hidden, "steps": matcher.steps,
-        "dropout": matcher.dropout, "max_neighbors": matcher.max_neighbors,
-        "use_neighbor_encoder": matcher.use_neighbor_encoder,
-        "use_matching_processor": matcher.use_matching_processor,
-        "use_scaling_factor": matcher.use_scaling_factor,
+        "format_version": FORMAT_VERSION, "dim": matcher.dim,
+        **{name: getattr(matcher, name) for name in SETTINGS},
         "embeddings_trainable": matcher.embeddings_trainable,
         "table_provenance": getattr(matcher, "table_provenance", {}),
     }
@@ -213,11 +207,7 @@ def save_matcher(path, matcher):
 def load_matcher(path):
     arrays, meta = ad.load_checkpoint(path, format_version=FORMAT_VERSION)
     try:
-        m = Matcher(int(meta["dim"]), steps=int(meta["steps"]), dropout=meta["dropout"],
-                    max_neighbors=int(meta["max_neighbors"]),
-                    use_neighbor_encoder=meta["use_neighbor_encoder"],
-                    use_matching_processor=meta["use_matching_processor"],
-                    use_scaling_factor=meta["use_scaling_factor"])
+        m = Matcher(int(meta["dim"]), **{name: meta[name] for name in SETTINGS})
         trainable = bool(meta["embeddings_trainable"])
     except (KeyError, TypeError, ValueError, ConfigError) as exc:
         raise DataError("checkpoint %s: bad metadata: %s" % (path, exc))

@@ -109,9 +109,9 @@ def train(matcher, graph, train_tasks, valid_tasks, vocab, config,
           log_fn=None, checkpoint_path=None, resume=False):
     """Run meta-training; returns (best_hits10, best_step).
 
-    The matcher is left holding the best-validation parameters. When
-    ``checkpoint_path`` is given, the best model and a resumable state blob
-    are written there.
+    The matcher is left holding the best-validation parameters, or its
+    trained ones when no validation ran. When ``checkpoint_path`` is given,
+    that model and a resumable state blob are written there.
     """
     pool = TaskPool(train_tasks)
     relations = pool.relations
@@ -139,9 +139,10 @@ def train(matcher, graph, train_tasks, valid_tasks, vocab, config,
         best_step = int(meta["best_step"])
         log.info("resumed from step %d", step)
 
-    best_arrays = {name: p.data.copy() for name, p in names.items()}
+    best_arrays = None      # the parameters at best_step
     if best_step >= 0:
         # resumed: the best parameters so far are those of the best checkpoint
+        best_arrays = {name: p.data.copy() for name, p in names.items()}
         arrays, _ = ad.load_checkpoint(checkpoint_path, format_version=FORMAT_VERSION)
         assign_arrays(best_arrays, arrays, checkpoint_path)
     stop = False
@@ -184,8 +185,9 @@ def train(matcher, graph, train_tasks, valid_tasks, vocab, config,
             if stop:
                 break
 
-    for name, p in names.items():
-        p.data[...] = best_arrays[name]
+    if best_step >= 0:
+        for name, p in names.items():
+            p.data[...] = best_arrays[name]
     if checkpoint_path:
         save_matcher(checkpoint_path, matcher)
     return best_metric, best_step

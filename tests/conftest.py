@@ -32,8 +32,7 @@ def ds(dataset_dir):
 
 @pytest.fixture(scope="session")
 def graph(ds):
-    return build_neighbor_index(ds.background, ds.vocab.n_entities,
-                                max_neighbors=50, seed=0)
+    return build_neighbor_index(ds.background, ds.vocab.n_entities, max_neighbors=50)
 
 
 @pytest.fixture(scope="session")

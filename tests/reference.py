@@ -40,13 +40,14 @@ def degree(graph, eid):
     return int(graph.indptr[eid + 1] - graph.indptr[eid])
 
 
-def listwise_neighbor_index(triples, n_entities, max_neighbors, seed):
+def listwise_neighbor_index(triples, n_entities, max_neighbors):
     """Neighbor lists built one entity at a time, downsampling each over-cap
-    list with one ``rng.choice`` call in ascending entity order."""
+    list with one ``rng.choice`` call in ascending entity order, from the
+    stream of seed 0."""
     full = [[] for _ in range(n_entities)]
     for h, r, t in triples:
         full[h].append((r, t))
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     out = []
     for lst in full:
         if len(lst) > max_neighbors:
@@ -68,10 +69,12 @@ def encode_one(matcher, entity, graph):
 def padded_encode(matcher, entity_ids, graph, rng=None):
     """The neighbor encoder over cap-long padded neighbor slots -> (B, d).
 
-    Every slot of every entity is gathered (padding as zero rows), dropped
-    out when ``rng`` is given, mapped through the affine transform and
-    masked; each block of ``cap`` slots is then averaged over its real
-    neighbors (summed without the scaling factor) and squashed by tanh.
+    Every slot of every entity is gathered (padding as zero rows); when
+    ``rng`` is given, the real neighbor rows are dropped out with one mask
+    row each, drawn in batch order. The slots are mapped through the affine
+    transform and masked; each block of ``cap`` slots is then averaged over
+    its real neighbors (summed without the scaling factor) and squashed by
+    tanh.
     """
     cap = graph.max_neighbors
     lists = neighbor_lists(graph)
@@ -87,10 +90,11 @@ def padded_encode(matcher, entity_ids, graph, rng=None):
     rel_emb, ent_emb = matcher.rel_emb.data, matcher.ent_emb.data
     x = np.hstack([np.where(r_flat[:, None] >= 0, rel_emb[r_flat], 0.0),
                    np.where(e_flat[:, None] >= 0, ent_emb[e_flat], 0.0)])
+    real = r_flat >= 0
     if rng is not None and matcher.dropout > 0:
         keep = 1.0 - matcher.dropout
-        x = x * ((rng.random(x.shape) < keep) / keep)
-    affine = (x @ matcher.w_c.data + matcher.b_c.data) * (r_flat >= 0)[:, None]
+        x[real] *= (rng.random((real.sum(), x.shape[1])) < keep) / keep
+    affine = (x @ matcher.w_c.data + matcher.b_c.data) * real[:, None]
     sums = affine.reshape(ids.size, cap, -1).sum(axis=1)
     if matcher.use_scaling_factor:
         sums = sums / np.maximum(counts, 1.0)[:, None]
@@ -118,8 +122,8 @@ def unfactored_match_scores(matcher, support, queries):
 
     blocks = gate_blocks(matcher.cell)
     batch = queries.shape[0]
-    h = np.zeros((batch, matcher.hidden))
-    c = np.zeros((batch, matcher.hidden))
+    h = np.zeros((batch, 2 * matcher.dim))
+    c = np.zeros((batch, 2 * matcher.dim))
     s_rows = np.broadcast_to(support, (batch, support.shape[0]))
     for _ in range(matcher.steps):
         hin = np.hstack([h, s_rows])

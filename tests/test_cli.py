@@ -6,6 +6,8 @@ import shutil
 import pytest
 
 from oneshot_kgc.cli import main
+from oneshot_kgc.config import RunConfig
+from oneshot_kgc.embeddings import export_vectors, load_table, save_table
 
 
 def sha(path):
@@ -58,6 +60,7 @@ class TestPipeline:
         with open(os.path.join(run, "run-config.txt")) as fh:
             text = fh.read()
         assert "dim = 16" in text
+        assert "hidden = 32" in text
         assert "max_episodes = 40" in text
 
     def test_training_log_is_json_lines(self, workdir):
@@ -81,14 +84,16 @@ class TestPipeline:
         assert 0.0 <= payload["overall"]["mrr"] <= 1.0
 
     def test_evaluate_baseline_table(self, workdir, capsys):
-        table = str(workdir["root"] / "baseline")
-        assert main(["train-embeddings", "--dataset", workdir["ds"],
-                     "--model", "DistMult", "--regime", "baseline",
-                     "--out", table, "--set", "dim=16",
-                     "--set", "embedding_epochs=5"]) == 0
-        assert main(["evaluate", "--dataset", workdir["ds"], "--table", table,
-                     "--split", "test"]) == 0
-        assert "overall (micro)" in capsys.readouterr().out
+        # tables are saved native, so each model scores in its own form
+        for model in ("TransE", "DistMult", "ComplEx", "RESCAL", "random"):
+            table = str(workdir["root"] / ("baseline-" + model))
+            assert main(["train-embeddings", "--dataset", workdir["ds"],
+                         "--model", model, "--regime", "baseline",
+                         "--out", table, "--set", "dim=16",
+                         "--set", "embedding_epochs=5"]) == 0, model
+            assert main(["evaluate", "--dataset", workdir["ds"], "--table", table,
+                         "--split", "test"]) == 0, model
+            assert "overall (micro)" in capsys.readouterr().out
 
     def test_evaluate_kshot(self, workdir):
         out = str(workdir["root"] / "report-3shot.json")
@@ -122,8 +127,59 @@ class TestPipeline:
         assert main(["train-embeddings", "--dataset", workdir["ds"],
                      "--model", "random", "--out", table,
                      "--config", str(cfg), "--set", "seed=9"]) == 0
-        from oneshot_kgc.embeddings import load_table
         assert load_table(table).metadata["seed"] == 9
+
+
+class TestConfigSurface:
+    def test_hidden_other_than_twice_dim_is_config_error(self, workdir, tmp_path, capsys):
+        argv = train_argv(workdir, str(tmp_path / "run"), 5) + ["--set", "hidden=8"]
+        assert main(argv) == 1
+        assert "hidden must equal 2*dim = 32, got 8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dim", [1, 7, 16, 100])
+    def test_hidden_left_out_is_valid_for_any_dim(self, dim):
+        assert RunConfig().set_option("dim", str(dim)).validate().hidden == 2 * dim
+
+    def test_dim_other_than_the_table_is_config_error(self, workdir, tmp_path, capsys):
+        argv = train_argv(workdir, str(tmp_path / "run"), 5) + ["--set", "dim=24"]
+        assert main(argv) == 1
+        assert "dim 24 differs from the table's dimension 16" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["embedding_model", "band_lo", "band_hi",
+                                     "candidate_floor", "inverse_threshold"])
+    def test_option_no_command_reads_is_unknown(self, workdir, tmp_path, capsys, key):
+        argv = train_argv(workdir, str(tmp_path / "run"), 5) + ["--set", "%s=10" % key]
+        assert main(argv) == 1
+        assert "unknown config option %r" % key in capsys.readouterr().err
+
+    def test_evaluate_seed_leaves_the_trained_graph(self, workdir, tmp_path):
+        # a cap of 3 downsamples most synthetic neighbor lists
+        run = str(tmp_path / "run")
+        assert main(train_argv(workdir, run, 10) + ["--set", "max_neighbors=3"]) == 0
+        reports = []
+        for seed in (2, 9):
+            out = str(tmp_path / ("report-%d.json" % seed))
+            assert main(["evaluate", "--dataset", workdir["ds"], "--checkpoint",
+                         os.path.join(run, "matcher"), "--split", "test",
+                         "--set", "seed=%d" % seed, "--out", out]) == 0
+            with open(out) as fh:
+                reports.append(json.load(fh)["queries"])
+        assert reports[0] == reports[1]
+
+    def test_only_native_tables_load(self, workdir, tmp_path, capsys):
+        native = str(tmp_path / "rescal")
+        assert main(["train-embeddings", "--dataset", workdir["ds"], "--model", "RESCAL",
+                     "--out", native, "--set", "dim=16", "--set", "embedding_epochs=2"]) == 0
+        argv = train_argv(workdir, str(tmp_path / "run"), 5)
+        argv[argv.index("--table") + 1] = native
+        assert main(argv) == 0
+        exported = str(tmp_path / "exported")
+        save_table(exported, export_vectors(load_table(native)))
+        argv[argv.index("--table") + 1] = exported
+        capsys.readouterr()
+        for command in (argv, ["evaluate", "--dataset", workdir["ds"], "--table", exported]):
+            assert main(command) == 2
+            assert "do not fit a native RESCAL table" in capsys.readouterr().err
 
 
 def train_argv(workdir, out, episodes):
@@ -236,10 +292,11 @@ class TestExitCodes:
         assert main(["generate-synthetic", "--nope", "x"]) == 1
         assert "error" in capsys.readouterr().err
 
-    def test_bad_set_value_is_config_error(self, workdir, capsys):
-        assert main(["train-embeddings", "--dataset", workdir["ds"],
-                     "--model", "TransE", "--out", "/tmp/x",
-                     "--set", "dim=-3"]) == 1
+    def test_bad_set_value_is_config_error(self, workdir, tmp_path, capsys):
+        for value in ("-3", "abc"):
+            assert main(["train-embeddings", "--dataset", workdir["ds"],
+                         "--model", "TransE", "--out", str(tmp_path / "table"),
+                         "--set", "dim=" + value]) == 1
         capsys.readouterr()
 
     def test_evaluate_without_model_is_config_error(self, workdir):

@@ -77,14 +77,14 @@ class TestNeighborIndex:
 
     def test_over_cap_samples_subset(self):
         triples = [Triple(0, 0, i) for i in range(1, 81)]
-        g = build_neighbor_index(triples, 81, max_neighbors=50, seed=1)
+        g = build_neighbor_index(triples, 81, max_neighbors=50)
         assert degree(g, 0) == 50
         assert set(neighbor_lists(g)[0]) <= {(0, i) for i in range(1, 81)}
 
-    def test_deterministic_under_seed(self):
+    def test_deterministic(self):
         triples = [Triple(0, 0, i) for i in range(1, 200)]
-        a = build_neighbor_index(triples, 200, max_neighbors=50, seed=9)
-        b = build_neighbor_index(triples, 200, max_neighbors=50, seed=9)
+        a = build_neighbor_index(triples, 200, max_neighbors=50)
+        b = build_neighbor_index(triples, 200, max_neighbors=50)
         assert neighbor_lists(a) == neighbor_lists(b)
 
     def test_isolated_entities_legal(self):
@@ -123,8 +123,8 @@ class TestNeighborIndex:
         for cap in (1, 3, 7, 50):
             triples = [Triple(int(h), int(rng.integers(5)), int(rng.integers(n_ent)))
                        for h in rng.integers(n_ent, size=400)]
-            got = neighbor_lists(build_neighbor_index(triples, n_ent, cap, seed=cap))
-            assert got == listwise_neighbor_index(triples, n_ent, cap, seed=cap)
+            got = neighbor_lists(build_neighbor_index(triples, n_ent, cap))
+            assert got == listwise_neighbor_index(triples, n_ent, cap)
 
     def test_over_cap_list_rejected(self):
         with pytest.raises(DataError, match="cap"):

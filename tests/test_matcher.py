@@ -22,12 +22,9 @@ def graph_of(neighbors, n_ent, cap=50):
 
 
 class TestConstruction:
-    def test_hidden_must_be_twice_dim(self):
-        with pytest.raises(ConfigError, match="hidden"):
-            Matcher(8, hidden=8)
-
     def test_default_hidden(self):
-        assert Matcher(8).hidden == 16
+        # the LSTM state has size 2*dim: (H, 4H) recurrent weights
+        assert Matcher(8).cell.W_h.shape == (16, 64)
 
     def test_bad_steps_and_dropout(self):
         with pytest.raises(ConfigError):

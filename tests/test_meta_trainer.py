@@ -94,7 +94,7 @@ class TrainHarness:
 
         self.vocab = _V()
         background = [Triple(e, e % 4, (e + 1) % n_ent) for e in range(n_ent)]
-        self.graph = build_neighbor_index(background, n_ent, max_neighbors=50, seed=0)
+        self.graph = build_neighbor_index(background, n_ent, max_neighbors=50)
 
     def matcher(self, trainable=True):
         m = Matcher(8, steps=2, dropout=0.0, seed=9)
@@ -169,6 +169,18 @@ class TestTraining:
         full_losses = [(r["step"], r["loss"]) for r in full if "loss" in r]
         part_losses = [(r["step"], r["loss"]) for r in part if "loss" in r]
         assert part_losses == full_losses
+
+    def test_run_without_validation_keeps_its_trained_weights(self, tmp_path):
+        # max_episodes below eval_interval: no validation ever runs
+        h = TrainHarness()
+        m, fresh = h.matcher(), h.matcher()
+        ckpt = str(tmp_path / "run")
+        assert h.run(matcher=m, checkpoint_path=ckpt,
+                     config=small_config(max_episodes=3)) == (-1.0, -1)
+        assert not np.array_equal(m.w_c.data, fresh.w_c.data)
+        saved = ad.load_checkpoint(ckpt)[0]
+        for name, p in m.named_parameters().items():
+            assert np.array_equal(saved[name], p.data), name
 
     def test_patience_stops_early(self, monkeypatch):
         h = TrainHarness()
