@@ -64,11 +64,7 @@ def cmd_build_dataset(args):
         counts = tuple(int(x) for x in args.counts.split(","))
         if len(counts) != 3:
             raise ConfigError("--counts expects three comma-separated integers")
-    explicit = None
-    if args.explicit_split:
-        with open(args.explicit_split) as fh:
-            payload = json.load(fh)
-        explicit = (payload["meta_train"], payload["meta_valid"], payload["meta_test"])
+    explicit = _read_explicit_split(args.explicit_split) if args.explicit_split else None
     manifest = build_dataset(args.out, triples, vocab, counts=counts,
                              band=(args.band_lo, args.band_hi), seed=args.seed,
                              candidate_floor=args.candidate_floor,
@@ -76,6 +72,21 @@ def cmd_build_dataset(args):
     print("dataset written to %s: %d/%d/%d task relations, %d background relations"
           % (args.out, len(manifest.meta_train), len(manifest.meta_valid),
              len(manifest.meta_test), len(manifest.background)))
+
+
+def _read_explicit_split(path):
+    """The meta_train, meta_valid and meta_test name lists of a JSON file."""
+    try:
+        with open(path) as fh:
+            payload = json.load(fh)
+        return payload["meta_train"], payload["meta_valid"], payload["meta_test"]
+    except OSError as exc:
+        raise DataError("cannot read %s: %s" % (path, exc.strerror)) from None
+    except ValueError as exc:
+        raise DataError("%s: not valid JSON: %s" % (path, exc)) from None
+    except (KeyError, TypeError):
+        raise DataError("%s: expected a JSON object holding meta_train, meta_valid and "
+                        "meta_test" % path) from None
 
 
 def _baseline_triples(ds):

@@ -10,6 +10,7 @@ Layout of an emitted dataset directory:
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import re
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .graph_store import Triple, Vocab, build_candidates, save_triples
+from .graph_store import Triple, TypeIndex, Vocab, build_candidates, save_triples
 
 
 @dataclass
@@ -80,23 +81,33 @@ def detect_inverse_relations(triples, vocab):
     """Relation ids to drop because another relation mirrors their pairs.
 
     A pair (r1, r2) is flagged when at least ``INVERSE_THRESHOLD`` of r1's
-    (h, t) pairs appear reversed under r2; the lexicographically larger name
-    of a flagged pair is dropped.
+    distinct (h, t) pairs appear reversed under r2; the lexicographically
+    larger name of a flagged pair is dropped. The reversed pairs are found
+    by one sorted join of (h, t) keys against (t, h) keys.
     """
-    pairs = defaultdict(set)
-    for h, r, t in triples:
-        pairs[r].add((h, t))
-    reversed_pairs = {r: {(t, h) for h, t in p} for r, p in pairs.items()}
-    drop = set()
-    rels = sorted(pairs)
-    for r1 in rels:
-        for r2 in rels:
-            if r1 == r2:
-                continue
-            overlap = len(pairs[r1] & reversed_pairs[r2])
-            if overlap / len(pairs[r1]) >= INVERSE_THRESHOLD:
-                drop.add(max(r1, r2, key=lambda r: vocab.id2rel[r]))
-    return drop
+    if not triples:
+        return set()
+    head, rel, tail = np.fromiter(itertools.chain.from_iterable(triples), dtype=np.int64,
+                                  count=3 * len(triples)).reshape(-1, 3).T
+    base = int(max(head.max(), tail.max())) + 1
+    # distinct (relation, pair) rows, the pair (h, t) encoded as h * base + t;
+    # the keys fit int64 while relations * base**2 < 2**63
+    rel, pair = np.divmod(np.unique(rel * base * base + head * base + tail), base * base)
+    by_pair = np.argsort(pair, kind="stable")
+    sorted_pairs = pair[by_pair]
+    reverse = pair % base * base + pair // base
+    lo = np.searchsorted(sorted_pairs, reverse, "left")
+    n_match = np.searchsorted(sorted_pairs, reverse, "right") - lo
+    # one (r1, r2) entry per row of r1 whose reversed pair r2 holds
+    first = np.repeat(lo - np.cumsum(n_match) + n_match, n_match)
+    r1 = np.repeat(rel, n_match)
+    r2 = rel[by_pair[first + np.arange(first.size)]]
+    n_rel = int(rel.max()) + 1
+    codes, overlap = np.unique((r1 * n_rel + r2)[r1 != r2], return_counts=True)
+    r1, r2 = np.divmod(codes, n_rel)
+    flagged = overlap / np.bincount(rel)[r1] >= INVERSE_THRESHOLD
+    return {max(a, b, key=lambda r: vocab.id2rel[r])
+            for a, b in zip(r1[flagged].tolist(), r2[flagged].tolist())}
 
 
 def partition_tasks(task_relations, counts, seed=0):
@@ -139,6 +150,7 @@ def emit_dataset(out_dir, triples, vocab, manifest, candidate_floor=20):
     save_triples(os.path.join(out_dir, "background.txt"), background, vocab)
 
     rng = np.random.default_rng(manifest.seed)
+    index = TypeIndex(vocab)
     for rel in sorted(task_set):
         rel_triples = by_relation[rel]
         if len(rel_triples) < 2:
@@ -151,7 +163,7 @@ def emit_dataset(out_dir, triples, vocab, manifest, candidate_floor=20):
             if trip == ref:
                 continue
             cands = build_candidates(trip.tail, observed_tails, vocab,
-                                     floor=candidate_floor, rng=cand_rng)
+                                     floor=candidate_floor, rng=cand_rng, index=index)
             queries.append({
                 "head": vocab.id2ent[trip.head],
                 "truth": vocab.id2ent[trip.tail],
@@ -252,30 +264,55 @@ def load_dataset(dataset_dir, type_sidecar=None):
         vocab.apply_type_sidecar(type_sidecar)
 
     background = []
-    with open(os.path.join(dataset_dir, "background.txt"), encoding="utf-8") as fh:
-        for line in fh:
-            h, r, t = line.rstrip("\n").split("\t")
-            background.append(Triple(vocab.ent2id[h], vocab.rel2id[r], vocab.ent2id[t]))
+    path = os.path.join(dataset_dir, "background.txt")
+    with open(path, encoding="utf-8") as fh:
+        try:
+            for line in fh:
+                h, r, t = line.rstrip("\n").split("\t")
+                background.append(Triple(vocab.ent2id[h], vocab.rel2id[r], vocab.ent2id[t]))
+        except ValueError:
+            raise DataError("%s: line %d: expected 3 tab-separated fields"
+                            % (path, len(background) + 1)) from None
+        except KeyError as exc:
+            raise DataError("%s: line %d: unknown name %s"
+                            % (path, len(background) + 1, exc)) from None
 
-    with open(os.path.join(dataset_dir, "manifest.json"), encoding="utf-8") as fh:
-        m = json.load(fh)
-    manifest = SplitManifest(
-        [vocab.rel2id[n] for n in m["meta_train"]],
-        [vocab.rel2id[n] for n in m["meta_valid"]],
-        [vocab.rel2id[n] for n in m["meta_test"]],
-        [vocab.rel2id[n] for n in m["background"]],
-        m["seed"],
-    ).validate()
+    path = os.path.join(dataset_dir, "manifest.json")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            m = json.load(fh)
+        manifest = SplitManifest(
+            [vocab.rel2id[n] for n in m["meta_train"]],
+            [vocab.rel2id[n] for n in m["meta_valid"]],
+            [vocab.rel2id[n] for n in m["meta_test"]],
+            [vocab.rel2id[n] for n in m["background"]],
+            m["seed"],
+        ).validate()
+    except ValueError as exc:
+        raise DataError("%s: not valid JSON: %s" % (path, exc)) from None
+    except KeyError as exc:
+        raise DataError("%s: missing field or unknown name %s" % (path, exc)) from None
+    except TypeError as exc:
+        raise DataError("%s: unexpected layout: %s" % (path, exc)) from None
 
     tasks = {}
-    for rel in manifest.task_relations():
-        path = os.path.join(dataset_dir, "tasks", _task_filename(vocab.id2rel[rel]))
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-        ref = Triple(vocab.ent2id[payload["reference"][0]], rel,
-                     vocab.ent2id[payload["reference"][2]])
-        queries = [(vocab.ent2id[q["head"]], vocab.ent2id[q["truth"]],
-                    [vocab.ent2id[c] for c in q["candidates"]])
-                   for q in payload["queries"]]
-        tasks[rel] = TaskSet(rel, ref, queries)
+    try:
+        for rel in manifest.task_relations():
+            path = os.path.join(dataset_dir, "tasks", _task_filename(vocab.id2rel[rel]))
+            with open(path, encoding="utf-8") as fh:
+                payload = json.load(fh)
+            ref = Triple(vocab.ent2id[payload["reference"][0]], rel,
+                         vocab.ent2id[payload["reference"][2]])
+            queries = [(vocab.ent2id[q["head"]], vocab.ent2id[q["truth"]],
+                        [vocab.ent2id[c] for c in q["candidates"]])
+                       for q in payload["queries"]]
+            tasks[rel] = TaskSet(rel, ref, queries)
+    except OSError as exc:
+        raise DataError("%s: cannot read task file: %s" % (path, exc.strerror)) from None
+    except ValueError as exc:
+        raise DataError("%s: not valid JSON: %s" % (path, exc)) from None
+    except KeyError as exc:
+        raise DataError("%s: missing field or unknown name %s" % (path, exc)) from None
+    except (IndexError, TypeError) as exc:
+        raise DataError("%s: unexpected layout: %s" % (path, exc)) from None
     return Dataset(vocab, background, tasks, manifest)

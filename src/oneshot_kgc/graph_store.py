@@ -4,7 +4,7 @@ Triples are integer-coded against dense vocabularies assigned in
 first-appearance order. The background graph stores, per entity, its outgoing
 one-hop (relation, entity) tuples capped at a configurable maximum, as
 compressed sparse rows; candidate sets for a query are built from the entity
-type constraint.
+type constraint, through a type -> entity-id index made once per build.
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ class Vocab:
 
     def apply_type_sidecar(self, path):
         """Load a two-column (entity, type) TSV overriding default type tags."""
-        with open(path, encoding="utf-8") as fh:
+        with _open_input(path) as fh:
             for lineno, line in enumerate(fh, 1):
                 line = line.rstrip("\n")
                 if not line:
@@ -80,6 +80,13 @@ class Vocab:
                     raise ParseError("%s: line %d: expected 2 tab-separated fields, got %d"
                                      % (path, lineno, len(parts)))
                 self._type_override[parts[0]] = parts[1]
+
+
+def _open_input(path):
+    try:
+        return open(path, encoding="utf-8")
+    except OSError as exc:
+        raise DataError("cannot read %s: %s" % (path, exc.strerror)) from None
 
 
 def _default_type(name):
@@ -96,7 +103,7 @@ def load_triples(path, vocab=None):
     if vocab is None:
         vocab = Vocab()
     triples = []
-    with open(path, encoding="utf-8") as fh:
+    with _open_input(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
             if not line:
@@ -167,24 +174,43 @@ def build_neighbor_index(triples, n_entities, max_neighbors=50):
     return BackgroundGraph(indptr, coded[:, 1], coded[:, 2], max_neighbors)
 
 
-def build_candidates(truth, observed_tails, vocab, floor=20, rng=None):
+class TypeIndex:
+    """Entity ids grouped by type tag, from one pass over a vocabulary.
+
+    ``codes[e]`` numbers the type of entity ``e``; the entities of type code
+    ``k`` are ``ids[indptr[k]:indptr[k + 1]]``, in ascending id order. Type
+    overrides count as the vocabulary holds them when the index is built.
+    """
+
+    def __init__(self, vocab):
+        numbering = {}
+        self.codes = np.array([numbering.setdefault(vocab.entity_type(e), len(numbering))
+                               for e in range(vocab.n_entities)], dtype=np.intp)
+        self.ids = np.argsort(self.codes, kind="stable")
+        self.indptr = np.concatenate([[0], np.cumsum(np.bincount(self.codes))])
+
+
+def build_candidates(truth, observed_tails, vocab, floor=20, rng=None, index=None):
     """Type-constrained candidate set for a query, always containing the truth.
 
     Candidates are all entities whose type tag matches the type of any
     observed tail of the relation, union the truth, in ascending entity id.
     When type matching yields fewer than ``floor`` candidates, seeded uniform
-    distractors pad the set up to the floor.
+    distractors pad the set up to the floor. ``index`` is the vocabulary's
+    :class:`TypeIndex`; a dataset build passes one so that it is made once.
     """
-    tail_types = {vocab.entity_type(t) for t in observed_tails}
-    cands = {eid for eid in range(vocab.n_entities) if vocab.entity_type(eid) in tail_types}
-    cands.add(truth)
-    if len(cands) < floor:
+    if index is None:
+        index = TypeIndex(vocab)
+    kinds = np.unique(index.codes[np.fromiter(observed_tails, dtype=np.intp)])
+    typed = [index.ids[index.indptr[k]:index.indptr[k + 1]] for k in kinds]
+    cands = np.unique(np.concatenate(typed + [[truth]]))
+    if cands.size < floor:
         if rng is None:
             rng = np.random.default_rng(0)
-        pool = np.array([e for e in range(vocab.n_entities) if e not in cands], dtype=np.intp)
-        need = min(floor - len(cands), pool.size)
+        pool = np.setdiff1d(np.arange(vocab.n_entities), cands, assume_unique=True)
+        need = min(floor - cands.size, pool.size)
         if need > 0:
-            cands.update(int(e) for e in rng.choice(pool, size=need, replace=False))
-    if len(cands) < 2:
+            cands = np.union1d(cands, rng.choice(pool, size=need, replace=False))
+    if cands.size < 2:
         raise DataError("candidate set for truth %d has fewer than 2 entries" % truth)
-    return sorted(cands)
+    return cands.tolist()

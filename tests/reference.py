@@ -1,5 +1,10 @@
 """Reference implementations and helpers that only the tests use.
 
+``build_candidates`` and ``detect_inverse_relations`` are the dataset
+builder's functions as they were before the type index and the sorted join:
+one scan over every entity per query, and one set intersection per pair of
+relations. The tests check that the program returns exactly what they do.
+
 The padded neighbor encoder and the unfactored matching processor are the
 straightforward forms of the model: the padded encoder applies the affine
 map to every neighbor slot up to the cap before it pools, and the unfactored
@@ -8,9 +13,13 @@ step. The program computes the same functions in fewer operations; the
 tests compare the two within a tolerance fixed from float64 rounding.
 """
 
+from collections import defaultdict
+
 import numpy as np
 
 from oneshot_kgc import autodiff as ad
+from oneshot_kgc.dataset import INVERSE_THRESHOLD
+from oneshot_kgc.errors import DataError
 from oneshot_kgc.graph_store import BackgroundGraph
 
 GATES = "ifgo"           # column blocks of the fused LSTM parameters
@@ -55,6 +64,56 @@ def listwise_neighbor_index(triples, n_entities, max_neighbors):
             lst = [lst[i] for i in sorted(picked)]
         out.append(lst)
     return out
+
+
+# ---------------------------------------------------------------------------
+# dataset builder
+
+
+def build_candidates(truth, observed_tails, vocab, floor=20, rng=None):
+    """Type-constrained candidate set for a query, always containing the truth.
+
+    Candidates are all entities whose type tag matches the type of any
+    observed tail of the relation, union the truth, in ascending entity id.
+    When type matching yields fewer than ``floor`` candidates, seeded uniform
+    distractors pad the set up to the floor.
+    """
+    tail_types = {vocab.entity_type(t) for t in observed_tails}
+    cands = {eid for eid in range(vocab.n_entities) if vocab.entity_type(eid) in tail_types}
+    cands.add(truth)
+    if len(cands) < floor:
+        if rng is None:
+            rng = np.random.default_rng(0)
+        pool = np.array([e for e in range(vocab.n_entities) if e not in cands], dtype=np.intp)
+        need = min(floor - len(cands), pool.size)
+        if need > 0:
+            cands.update(int(e) for e in rng.choice(pool, size=need, replace=False))
+    if len(cands) < 2:
+        raise DataError("candidate set for truth %d has fewer than 2 entries" % truth)
+    return sorted(cands)
+
+
+def detect_inverse_relations(triples, vocab):
+    """Relation ids to drop because another relation mirrors their pairs.
+
+    A pair (r1, r2) is flagged when at least ``INVERSE_THRESHOLD`` of r1's
+    (h, t) pairs appear reversed under r2; the lexicographically larger name
+    of a flagged pair is dropped.
+    """
+    pairs = defaultdict(set)
+    for h, r, t in triples:
+        pairs[r].add((h, t))
+    reversed_pairs = {r: {(t, h) for h, t in p} for r, p in pairs.items()}
+    drop = set()
+    rels = sorted(pairs)
+    for r1 in rels:
+        for r2 in rels:
+            if r1 == r2:
+                continue
+            overlap = len(pairs[r1] & reversed_pairs[r2])
+            if overlap / len(pairs[r1]) >= INVERSE_THRESHOLD:
+                drop.add(max(r1, r2, key=lambda r: vocab.id2rel[r]))
+    return drop
 
 
 # ---------------------------------------------------------------------------

@@ -313,3 +313,82 @@ class TestExitCodes:
         assert main(["build-dataset", "--input", str(bad),
                      "--out", str(tmp_path / "out")]) == 2
         assert "data error" in capsys.readouterr().err
+
+
+def rewrite(path, edit):
+    with open(path) as fh:
+        text = fh.read()
+    with open(path, "w") as fh:
+        fh.write(edit(text))
+
+
+def replace_line(number, new):
+    def edit(text):
+        lines = text.splitlines(keepends=True)
+        lines[number - 1] = new
+        return "".join(lines)
+    return edit
+
+
+def first_task_file(ds_dir):
+    return os.path.join(ds_dir, "tasks", sorted(os.listdir(os.path.join(ds_dir, "tasks")))[0])
+
+
+def drop_key(key):
+    def edit(text):
+        payload = json.loads(text)
+        del payload[key]
+        return json.dumps(payload)
+    return edit
+
+
+class TestBadDatasetFiles:
+    """A damaged dataset directory is a data error naming the file, never a traceback."""
+
+    @pytest.mark.parametrize("damage, message", [
+        (lambda d: rewrite(os.path.join(d, "background.txt"), replace_line(2, "a\tb\n")),
+         "background.txt: line 2: expected 3 tab-separated fields"),
+        (lambda d: rewrite(os.path.join(d, "background.txt"),
+                           replace_line(3, "concept:nobody:x\tbrel_00\tconcept:nobody:y\n")),
+         "background.txt: line 3: unknown name 'concept:nobody:x'"),
+        (lambda d: os.remove(first_task_file(d)), "cannot read task file"),
+        (lambda d: rewrite(first_task_file(d), lambda text: text[:-20]), "not valid JSON"),
+        (lambda d: rewrite(first_task_file(d), drop_key("reference")),
+         "missing field or unknown name 'reference'"),
+        (lambda d: rewrite(first_task_file(d), drop_key("queries")),
+         "missing field or unknown name 'queries'"),
+        (lambda d: rewrite(first_task_file(d), lambda text: "[]"), "unexpected layout"),
+    ], ids=["short-background-line", "unknown-background-name", "missing-task-file",
+            "task-not-json", "task-without-reference", "task-without-queries",
+            "task-not-object"])
+    def test_damaged_dataset_is_data_error(self, workdir, tmp_path, capsys, damage, message):
+        ds = str(tmp_path / "ds")
+        shutil.copytree(workdir["ds"], ds)
+        damage(ds)
+        assert main(["train-embeddings", "--dataset", ds, "--model", "random",
+                     "--out", str(tmp_path / "table")]) == 2
+        assert message in capsys.readouterr().err
+
+
+class TestBadBuildInputs:
+    def build(self, dump_path, tmp_path, *extra):
+        return main(["build-dataset", "--input", dump_path, "--out", str(tmp_path / "out"),
+                     "--counts", "6,2,2"] + list(extra))
+
+    def test_missing_input_is_data_error(self, tmp_path, capsys):
+        assert self.build(str(tmp_path / "nowhere.tsv"), tmp_path) == 2
+        assert "cannot read %s" % (tmp_path / "nowhere.tsv") in capsys.readouterr().err
+
+    def test_missing_type_sidecar_is_data_error(self, dump_path, tmp_path, capsys):
+        sidecar = str(tmp_path / "types.tsv")
+        assert self.build(dump_path, tmp_path, "--type-sidecar", sidecar) == 2
+        assert "cannot read %s" % sidecar in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", [
+        None, "{", json.dumps({"meta_train": [], "meta_test": []}), "[]"])
+    def test_bad_explicit_split_is_data_error(self, dump_path, tmp_path, capsys, content):
+        split = tmp_path / "split.json"
+        if content is not None:
+            split.write_text(content)
+        assert self.build(dump_path, tmp_path, "--explicit-split", str(split)) == 2
+        assert str(split) in capsys.readouterr().err

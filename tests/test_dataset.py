@@ -3,11 +3,14 @@ import json
 import os
 from collections import Counter
 
+import numpy as np
 import pytest
 
-from oneshot_kgc.dataset import (build_dataset, detect_inverse_relations,
-                                 load_dataset, partition_tasks,
-                                 select_task_relations)
+import reference
+from oneshot_kgc import dataset
+from oneshot_kgc.dataset import (INVERSE_THRESHOLD, build_dataset,
+                                 detect_inverse_relations, load_dataset,
+                                 partition_tasks, select_task_relations)
 from oneshot_kgc.errors import ConfigError, DataError
 from oneshot_kgc.graph_store import Triple, Vocab, load_triples
 
@@ -82,6 +85,78 @@ class TestInverseDetection:
         assert detect_inverse_relations(triples, v) == set()
 
 
+def planted_graph(rng, n_relations=8, n_entities=30):
+    """Relations of random pairs, each either independent, symmetric, or a
+    mirror of an earlier relation with 0, 1, 2 or 5% of its pairs left out;
+    triples repeat and some pairs are self-loops. Relation names are
+    shuffled so that name order differs from id order."""
+    v = Vocab()
+    for name in rng.permutation(["rel%02d" % i for i in range(n_relations)]):
+        v.add_relation(str(name))
+    pairs = []
+    for r in range(n_relations):
+        kind = int(rng.integers(3)) if r else 0
+        if kind == 2:
+            source = sorted(set(pairs[int(rng.integers(r))]))
+            missing = int(rng.choice([0, 1, 2, len(source) // 20]))
+            rel_pairs = [(t, h) for h, t in source[missing:]]
+        else:
+            n = int(rng.choice([5, 20, 40, 60, 100]))
+            rel_pairs = [tuple(p) for p in rng.integers(n_entities, size=(n, 2)).tolist()]
+            if kind == 1:
+                rel_pairs += [(t, h) for h, t in rel_pairs]
+        pairs.append(rel_pairs)
+    triples = [Triple(h, r, t) for r, rel_pairs in enumerate(pairs) for h, t in rel_pairs]
+    triples += [triples[int(i)] for i in rng.integers(len(triples), size=len(triples) // 10)]
+    return [triples[int(i)] for i in rng.permutation(len(triples))], v
+
+
+class TestInverseJoinMatchesPairwiseSets:
+    """The sorted join flags exactly the relations the pairwise set
+    intersections flag."""
+
+    def test_random_planted_graphs(self):
+        rng = np.random.default_rng(11)
+        flagged = 0
+        for _ in range(150):
+            triples, v = planted_graph(rng)
+            drop = detect_inverse_relations(triples, v)
+            assert drop == reference.detect_inverse_relations(triples, v)
+            flagged += len(drop)
+        assert flagged > 50
+
+    @pytest.mark.parametrize("n_pairs, mirrored, flagged", [
+        (20, 19, True), (20, 18, False), (200, 190, True), (200, 189, False),
+        (40, 38, True), (60, 56, False)])
+    def test_overlap_at_and_below_threshold(self, n_pairs, mirrored, flagged):
+        assert (mirrored / n_pairs >= INVERSE_THRESHOLD) == flagged
+        v = Vocab()
+        ra, rb = v.add_relation("alpha"), v.add_relation("beta")
+        triples = [Triple(i, ra, n_pairs + i) for i in range(n_pairs)]
+        triples += [Triple(n_pairs + i, rb, i) for i in range(mirrored)]
+        triples += [Triple(3 * n_pairs + i, rb, 4 * n_pairs + i) for i in range(n_pairs)]
+        triples += triples[:5]                        # repeats count once
+        drop = detect_inverse_relations(triples, v)
+        assert drop == reference.detect_inverse_relations(triples, v)
+        assert drop == ({rb} if flagged else set())
+
+    def test_symmetric_relations_and_self_loops(self):
+        v = Vocab()
+        ra, rb, rc = v.add_relation("zeta"), v.add_relation("eta"), v.add_relation("theta")
+        sym = [(0, 1), (1, 0), (2, 3), (3, 2), (4, 4)]
+        triples = [Triple(h, ra, t) for h, t in sym] + [Triple(h, rb, t) for h, t in sym]
+        triples += [Triple(4, rc, 4), Triple(5, rc, 6)]
+        drop = detect_inverse_relations(triples, v)
+        assert drop == reference.detect_inverse_relations(triples, v) == {ra}
+
+    def test_no_triples(self):
+        assert detect_inverse_relations([], Vocab()) == set()
+
+
+def old_build_candidates(truth, observed_tails, vocab, floor=20, rng=None, index=None):
+    return reference.build_candidates(truth, observed_tails, vocab, floor, rng)
+
+
 def dir_hashes(root):
     hashes = {}
     for base, _, files in os.walk(root):
@@ -124,6 +199,36 @@ class TestEmittedDataset:
         triples2, vocab2 = load_triples(dump_path)
         build_dataset(out2, triples2, vocab2, counts=(6, 2, 2), seed=3)
         assert dir_hashes(out1) == dir_hashes(out2)
+
+    @pytest.mark.parametrize("floor, unique_types", [(20, False), (30, True)])
+    def test_same_bytes_as_entity_scan_and_pairwise_sets(self, tmp_path, dump_path,
+                                                         monkeypatch, floor, unique_types):
+        # with one type per entity a query's typed candidates are its
+        # relation's distinct tails, fewer than 30 here, so every query is padded
+        sidecar = None
+        if unique_types:
+            _, vocab = load_triples(dump_path)
+            sidecar = tmp_path / "types.tsv"
+            sidecar.write_text("".join("%s\tu%d\n" % (name, i)
+                                       for i, name in enumerate(vocab.id2ent)))
+        out = {}
+        for name in ("old", "new"):
+            if name == "old":
+                monkeypatch.setattr(dataset, "build_candidates", old_build_candidates)
+                monkeypatch.setattr(dataset, "detect_inverse_relations",
+                                    reference.detect_inverse_relations)
+            triples, vocab = load_triples(dump_path)
+            if sidecar is not None:
+                vocab.apply_type_sidecar(str(sidecar))
+            out[name] = str(tmp_path / name)
+            build_dataset(out[name], triples, vocab, counts=(6, 2, 2), seed=3,
+                          candidate_floor=floor)
+            monkeypatch.undo()
+        assert dir_hashes(out["old"]) == dir_hashes(out["new"])
+        assert len(dir_hashes(out["new"])) == 14
+        if unique_types:
+            assert {len(cands) for task in load_dataset(out["new"]).tasks.values()
+                    for _, _, cands in task.queries} == {30}
 
     def test_task_file_schema(self, dataset_dir, ds):
         name = ds.vocab.id2rel[ds.manifest.meta_test[0]]

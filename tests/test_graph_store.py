@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from oneshot_kgc.errors import DataError, ParseError
-from oneshot_kgc.graph_store import (BackgroundGraph, Triple, Vocab,
+from oneshot_kgc.graph_store import (BackgroundGraph, Triple, TypeIndex, Vocab,
                                      build_candidates, build_neighbor_index,
                                      load_triples)
+import reference
 from reference import (degree, graph_from_lists, listwise_neighbor_index,
                        neighbor_lists)
 
@@ -175,3 +176,56 @@ class TestCandidates:
                 assert truth in cands
                 assert len(cands) >= 2
                 assert cands == sorted(cands)
+
+
+class TestCandidatesMatchEntityScan:
+    """The type index returns exactly what one scan over every entity per
+    query returns, padding draws included."""
+
+    def random_vocab(self, rng, tmp_path, n_entities):
+        v = Vocab()
+        for i in range(n_entities):
+            v.add_entity("concept:t%d:e%d" % (rng.integers(12), i))
+        sidecar = tmp_path / "types.tsv"
+        overridden = rng.choice(n_entities, size=n_entities // 4, replace=False)
+        sidecar.write_text("".join("%s\tside%d\n" % (v.id2ent[e], rng.integers(4))
+                                   for e in overridden))
+        v.apply_type_sidecar(str(sidecar))
+        return v
+
+    def test_random_queries_sharing_one_stream(self, tmp_path):
+        rng = np.random.default_rng(17)
+        for trial in range(40):
+            v = self.random_vocab(rng, tmp_path, int(rng.integers(2, 120)))
+            index = TypeIndex(v)
+            floor = int(rng.integers(1, 60))
+            tails = set(rng.choice(v.n_entities, size=int(rng.integers(1, 6))).tolist())
+            new_rng, old_rng = np.random.default_rng(trial), np.random.default_rng(trial)
+            for truth in rng.integers(v.n_entities, size=5).tolist():
+                got = build_candidates(truth, tails, v, floor=floor, rng=new_rng, index=index)
+                assert got == reference.build_candidates(truth, tails, v, floor, old_rng)
+            assert new_rng.random() == old_rng.random()
+
+    def test_index_built_per_call_matches(self, tmp_path):
+        rng = np.random.default_rng(3)
+        v = self.random_vocab(rng, tmp_path, 60)
+        for truth in range(0, 60, 7):
+            tails = {truth, (truth * 5) % 60}
+            assert build_candidates(truth, tails, v, floor=25) == \
+                reference.build_candidates(truth, tails, v, 25)
+
+    def test_sidecar_applied_after_loading(self, tmp_path):
+        path = write(tmp_path, ["concept:a:x\tr\tconcept:b:y", "concept:a:z\tr\tconcept:b:w"])
+        _, v = load_triples(path)
+        sidecar = tmp_path / "types.tsv"
+        sidecar.write_text("concept:a:x\tb\n")
+        v.apply_type_sidecar(str(sidecar))
+        got = build_candidates(1, {1}, v, floor=1, index=TypeIndex(v))
+        assert got == reference.build_candidates(1, {1}, v, 1) == [0, 1, 3]
+
+    def test_truth_of_a_type_no_observed_tail_has(self):
+        v = Vocab()
+        for name in ["concept:sport:%d" % i for i in range(25)] + ["concept:lone:x"]:
+            v.add_entity(name)
+        got = build_candidates(25, {0, 3}, v, floor=20, index=TypeIndex(v))
+        assert got == reference.build_candidates(25, {0, 3}, v, 20) == list(range(26))
