@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .graph_store import Triple, TypeIndex, Vocab, build_candidates, save_triples
+from .graph_store import Triple, TypeIndex, Vocab, build_candidates, open_input, save_triples
 
 
 @dataclass
@@ -246,7 +246,7 @@ class Dataset:
         return [self.tasks[r] for r in rel_ids]
 
 
-def load_dataset(dataset_dir, type_sidecar=None):
+def load_dataset(dataset_dir):
     missing = [name for name in ("entities.txt", "relations.txt", "background.txt",
                                  "manifest.json")
                if not os.path.isfile(os.path.join(dataset_dir, name))]
@@ -254,28 +254,26 @@ def load_dataset(dataset_dir, type_sidecar=None):
         raise DataError("%s is not a dataset directory: missing %s"
                         % (dataset_dir, ", ".join(missing)))
     vocab = Vocab()
-    with open(os.path.join(dataset_dir, "entities.txt"), encoding="utf-8") as fh:
+    with open_input(os.path.join(dataset_dir, "entities.txt")) as fh:
         for line in fh:
             vocab.add_entity(line.rstrip("\n"))
-    with open(os.path.join(dataset_dir, "relations.txt"), encoding="utf-8") as fh:
+    with open_input(os.path.join(dataset_dir, "relations.txt")) as fh:
         for line in fh:
             vocab.add_relation(line.rstrip("\n"))
-    if type_sidecar:
-        vocab.apply_type_sidecar(type_sidecar)
 
     background = []
     path = os.path.join(dataset_dir, "background.txt")
-    with open(path, encoding="utf-8") as fh:
-        try:
-            for line in fh:
+    with open_input(path) as fh:
+        for line in fh:
+            try:
                 h, r, t = line.rstrip("\n").split("\t")
                 background.append(Triple(vocab.ent2id[h], vocab.rel2id[r], vocab.ent2id[t]))
-        except ValueError:
-            raise DataError("%s: line %d: expected 3 tab-separated fields"
-                            % (path, len(background) + 1)) from None
-        except KeyError as exc:
-            raise DataError("%s: line %d: unknown name %s"
-                            % (path, len(background) + 1, exc)) from None
+            except ValueError:
+                raise DataError("%s: line %d: expected 3 tab-separated fields"
+                                % (path, len(background) + 1)) from None
+            except KeyError as exc:
+                raise DataError("%s: line %d: unknown name %s"
+                                % (path, len(background) + 1, exc)) from None
 
     path = os.path.join(dataset_dir, "manifest.json")
     try:

@@ -8,6 +8,7 @@ matching model consumes them exported to one 1-D vector per symbol.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -138,8 +139,9 @@ def train_embeddings(triples, n_ent, n_rel, model="TransE", dim=100, epochs=1000
     rng = np.random.default_rng(seed)
     table = init_table(model, n_ent, n_rel, dim, rng)
     if model == "TransE":
-        table.ent /= np.linalg.norm(table.ent, axis=1, keepdims=True)
-    data = np.array([[h, r, t] for h, r, t in triples], dtype=np.intp)
+        _renormalize_rows(table.ent)
+    data = np.fromiter(itertools.chain.from_iterable(triples), dtype=np.intp,
+                       count=3 * len(triples)).reshape(-1, 3)
     if data.size == 0:
         raise DataError("no training triples")
 
@@ -162,10 +164,43 @@ def train_embeddings(triples, n_ent, n_rel, model="TransE", dim=100, epochs=1000
     return table, losses
 
 
+RENORM_BLOCK = 4096     # rows per block of the TransE renormalisation
+
+
+def _scatter_add(table, rows, values):
+    """``np.add.at(table, rows, values)`` through the table's flat 1-D view.
+
+    Each element of the table receives its additions in the same order as
+    under ``np.add.at`` on the table itself, so the result is the same bits;
+    NumPy's 1-D ``add.at`` path makes it about twice as fast.
+    """
+    width = int(np.prod(table.shape[1:]))
+    index = (rows[:, None] * width + np.arange(width)).ravel()
+    np.add.at(table.reshape(-1), index, values.ravel())     # a view: tables are C-contiguous
+
+
+def _renormalize_rows(E):
+    """Scale every row of ``E`` to unit length, one block of rows at a time.
+
+    A row's norm does not depend on the other rows, so the blocks give the
+    same bits as one pass, without a temporary the size of the table.
+    """
+    for start in range(0, E.shape[0], RENORM_BLOCK):
+        block = E[start:start + RENORM_BLOCK]
+        block /= np.maximum(np.linalg.norm(block, axis=1, keepdims=True), 1e-12)
+
+
 def _step_transe(table, pos, neg, k, lr, margin):
     E, R = table.ent, table.rel
-    dp_vec = E[pos[:, 0]] + R[pos[:, 1]] - E[pos[:, 2]]
-    dn_vec = E[neg[:, 0]] + R[neg[:, 1]] - E[neg[:, 2]]
+    hr = E[pos[:, 0]] + R[pos[:, 1]]
+    dp_vec = hr - E[pos[:, 2]]
+    # a negative that kept its positive's head and relation (every one under
+    # tail corruption) reuses the positive's h + r row
+    dn_vec = np.repeat(hr, k, axis=0)
+    moved = np.flatnonzero(np.any(neg[:, :2] != np.repeat(pos[:, :2], k, axis=0), axis=1))
+    if moved.size:
+        dn_vec[moved] = E[neg[moved, 0]] + R[neg[moved, 1]]
+    dn_vec -= E[neg[:, 2]]
     dp = np.linalg.norm(dp_vec, axis=1)
     dn = np.linalg.norm(dn_vec, axis=1)
     viol = margin + np.repeat(dp, k) - dn
@@ -178,13 +213,13 @@ def _step_transe(table, pos, neg, k, lr, margin):
                          minlength=pos.shape[0]).astype(float)
         gp = up * wp[:, None] * lr
         gn = un[active] * lr
-        np.add.at(E, pos[:, 0], -gp)
-        np.add.at(E, pos[:, 2], gp)
-        np.add.at(R, pos[:, 1], -gp)
-        np.add.at(E, neg[active, 0], gn)
-        np.add.at(E, neg[active, 2], -gn)
-        np.add.at(R, neg[active, 1], gn)
-        E /= np.maximum(np.linalg.norm(E, axis=1, keepdims=True), 1e-12)
+        _scatter_add(E, pos[:, 0], -gp)
+        _scatter_add(E, pos[:, 2], gp)
+        _scatter_add(R, pos[:, 1], -gp)
+        _scatter_add(E, neg[active, 0], gn)
+        _scatter_add(E, neg[active, 2], -gn)
+        _scatter_add(R, neg[active, 1], gn)
+        _renormalize_rows(E)
     return loss
 
 
@@ -199,14 +234,14 @@ def _step_rescal(table, pos, neg, k, lr, margin):
         wp = np.bincount(np.arange(pos.shape[0]).repeat(k)[active],
                          minlength=pos.shape[0]).astype(float)
         hp, tp, mp = E[pos[:, 0]], E[pos[:, 2]], M[pos[:, 1]]
-        np.add.at(E, pos[:, 0], lr * wp[:, None] * np.einsum("bij,bj->bi", mp, tp))
-        np.add.at(E, pos[:, 2], lr * wp[:, None] * np.einsum("bi,bij->bj", hp, mp))
-        np.add.at(M, pos[:, 1], lr * wp[:, None, None] * np.einsum("bi,bj->bij", hp, tp))
+        _scatter_add(E, pos[:, 0], lr * wp[:, None] * np.einsum("bij,bj->bi", mp, tp))
+        _scatter_add(E, pos[:, 2], lr * wp[:, None] * np.einsum("bi,bij->bj", hp, mp))
+        _scatter_add(M, pos[:, 1], lr * wp[:, None, None] * np.einsum("bi,bj->bij", hp, tp))
         na = neg[active]
         hn, tn, mn = E[na[:, 0]], E[na[:, 2]], M[na[:, 1]]
-        np.add.at(E, na[:, 0], -lr * np.einsum("bij,bj->bi", mn, tn))
-        np.add.at(E, na[:, 2], -lr * np.einsum("bi,bij->bj", hn, mn))
-        np.add.at(M, na[:, 1], -lr * np.einsum("bi,bj->bij", hn, tn))
+        _scatter_add(E, na[:, 0], -lr * np.einsum("bij,bj->bi", mn, tn))
+        _scatter_add(E, na[:, 2], -lr * np.einsum("bi,bij->bj", hn, mn))
+        _scatter_add(M, na[:, 1], -lr * np.einsum("bi,bj->bij", hn, tn))
         norms = np.linalg.norm(E, axis=1, keepdims=True)
         np.divide(E, norms, out=E, where=norms > 1.0)
     return loss
@@ -226,9 +261,9 @@ def _step_logistic(table, pos, neg, lr, reg):
         gh = dl_ds[:, None] * R[r] * E[t] + 2 * reg * E[h]
         gr = dl_ds[:, None] * E[h] * E[t] + 2 * reg * R[r]
         gt = dl_ds[:, None] * E[h] * R[r] + 2 * reg * E[t]
-        np.add.at(E, h, -lr * gh)
-        np.add.at(R, r, -lr * gr)
-        np.add.at(E, t, -lr * gt)
+        _scatter_add(E, h, -lr * gh)
+        _scatter_add(R, r, -lr * gr)
+        _scatter_add(E, t, -lr * gt)
     else:  # ComplEx
         E, R = table.ent, table.rel
         hr, hi = E[h, 0], E[h, 1]
@@ -238,9 +273,9 @@ def _step_logistic(table, pos, neg, lr, reg):
         gh = np.stack([d * (rr * tr + ri * ti), d * (rr * ti - ri * tr)], axis=1) + 2 * reg * E[h]
         gr = np.stack([d * (hr * tr + hi * ti), d * (hr * ti - hi * tr)], axis=1) + 2 * reg * R[r]
         gt = np.stack([d * (hr * rr - hi * ri), d * (hi * rr + hr * ri)], axis=1) + 2 * reg * E[t]
-        np.add.at(E, h, -lr * gh)
-        np.add.at(R, r, -lr * gr)
-        np.add.at(E, t, -lr * gt)
+        _scatter_add(E, h, -lr * gh)
+        _scatter_add(R, r, -lr * gr)
+        _scatter_add(E, t, -lr * gt)
     return loss
 
 

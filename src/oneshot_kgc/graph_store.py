@@ -9,6 +9,7 @@ type constraint, through a type -> entity-id index made once per build.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 from typing import NamedTuple
 
@@ -70,7 +71,7 @@ class Vocab:
 
     def apply_type_sidecar(self, path):
         """Load a two-column (entity, type) TSV overriding default type tags."""
-        with _open_input(path) as fh:
+        with open_input(path) as fh:
             for lineno, line in enumerate(fh, 1):
                 line = line.rstrip("\n")
                 if not line:
@@ -82,11 +83,22 @@ class Vocab:
                 self._type_override[parts[0]] = parts[1]
 
 
-def _open_input(path):
+@contextlib.contextmanager
+def open_input(path):
+    """A UTF-8 text file opened for reading.
+
+    A file that cannot be opened, or that turns out not to be UTF-8 while
+    the ``with`` body reads it, is a :class:`DataError` naming the file.
+    """
     try:
-        return open(path, encoding="utf-8")
+        fh = open(path, encoding="utf-8")
     except OSError as exc:
         raise DataError("cannot read %s: %s" % (path, exc.strerror)) from None
+    with fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise DataError("%s: not UTF-8 text: %s" % (path, exc)) from None
 
 
 def _default_type(name):
@@ -103,7 +115,7 @@ def load_triples(path, vocab=None):
     if vocab is None:
         vocab = Vocab()
     triples = []
-    with _open_input(path) as fh:
+    with open_input(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
             if not line:

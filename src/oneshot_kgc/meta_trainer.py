@@ -15,6 +15,7 @@ another config (``max_episodes`` aside) is refused.
 
 from __future__ import annotations
 
+import bisect
 import json
 import logging
 from dataclasses import asdict, dataclass
@@ -40,7 +41,7 @@ class Episode:
 
 
 class _TaskEntry:
-    __slots__ = ("relation", "triples", "candidate_pool", "true_tails")
+    __slots__ = ("relation", "triples", "candidate_pool", "true_tails", "skips")
 
     def __init__(self, task):
         self.relation = task.relation
@@ -53,6 +54,17 @@ class _TaskEntry:
         self.true_tails = {}
         for h, _, t in self.triples:
             self.true_tails.setdefault(h, set()).add(t)
+        # per head, the pool positions of its true tails in ascending order,
+        # the j-th minus j: the number of allowed candidates before it
+        candidates = self.candidate_pool.tolist()
+        self.skips = {}
+        for h, tails in self.true_tails.items():
+            skips = []
+            for t in sorted(tails):
+                at = bisect.bisect_left(candidates, t)
+                if at < len(candidates) and candidates[at] == t:
+                    skips.append(at - len(skips))
+            self.skips[h] = skips
 
 
 class TaskPool:
@@ -83,15 +95,21 @@ def sample_episode(entry, batch_size, rng):
     take = min(batch_size, len(rest))
     picked = rng.choice(len(rest), size=take, replace=False)
     positives = [(rest[i].head, rest[i].tail) for i in picked]
+    pool = entry.candidate_pool
     negatives = []
     for head, _ in positives:
-        banned = entry.true_tails.get(head, set())
-        pool = entry.candidate_pool[~np.isin(entry.candidate_pool,
-                                             np.fromiter(banned, dtype=np.intp))]
-        if pool.size == 0:
-            pool = np.array([e for e in range(int(entry.candidate_pool.max()) + 1)
-                             if e not in banned], dtype=np.intp)
-        negatives.append((head, int(pool[int(rng.integers(pool.size))])))
+        skips = entry.skips[head]
+        if len(skips) < pool.size:
+            # the k-th candidate that is not a true tail of the head: the same
+            # draw as picking entry k of the pool with those tails filtered out
+            k = int(rng.integers(pool.size - len(skips)))
+            tail = pool[k + bisect.bisect_right(skips, k)]
+        else:
+            banned = entry.true_tails[head]
+            rest = np.array([e for e in range(int(pool.max()) + 1) if e not in banned],
+                            dtype=np.intp)
+            tail = rest[int(rng.integers(rest.size))]
+        negatives.append((head, int(tail)))
     return Episode(entry.relation, reference, positives, negatives)
 
 

@@ -1,5 +1,11 @@
 """Reference implementations and helpers that only the tests use.
 
+``step_transe`` is one TransE minibatch step as it was before the flat
+scatter, the blocked renormalisation and the shared h + r rows, and
+``sample_episode`` is the episode sampler as it was before the per-head
+skip tables: it filters the candidate pool with ``np.isin`` once per
+positive. The program must give exactly the same tables and episodes.
+
 ``build_candidates`` and ``detect_inverse_relations`` are the dataset
 builder's functions as they were before the type index and the sorted join:
 one scan over every entity per query, and one set intersection per pair of
@@ -21,6 +27,7 @@ from oneshot_kgc import autodiff as ad
 from oneshot_kgc.dataset import INVERSE_THRESHOLD
 from oneshot_kgc.errors import DataError
 from oneshot_kgc.graph_store import BackgroundGraph
+from oneshot_kgc.meta_trainer import Episode
 
 GATES = "ifgo"           # column blocks of the fused LSTM parameters
 
@@ -114,6 +121,62 @@ def detect_inverse_relations(triples, vocab):
             if overlap / len(pairs[r1]) >= INVERSE_THRESHOLD:
                 drop.add(max(r1, r2, key=lambda r: vocab.id2rel[r]))
     return drop
+
+
+# ---------------------------------------------------------------------------
+# embeddings
+
+
+def step_transe(table, pos, neg, k, lr, margin):
+    E, R = table.ent, table.rel
+    dp_vec = E[pos[:, 0]] + R[pos[:, 1]] - E[pos[:, 2]]
+    dn_vec = E[neg[:, 0]] + R[neg[:, 1]] - E[neg[:, 2]]
+    dp = np.linalg.norm(dp_vec, axis=1)
+    dn = np.linalg.norm(dn_vec, axis=1)
+    viol = margin + np.repeat(dp, k) - dn
+    active = viol > 0
+    loss = viol[active].sum()
+    if loss > 0:
+        up = dp_vec / np.maximum(dp, 1e-12)[:, None]
+        un = dn_vec / np.maximum(dn, 1e-12)[:, None]
+        wp = np.bincount(np.arange(pos.shape[0]).repeat(k)[active],
+                         minlength=pos.shape[0]).astype(float)
+        gp = up * wp[:, None] * lr
+        gn = un[active] * lr
+        np.add.at(E, pos[:, 0], -gp)
+        np.add.at(E, pos[:, 2], gp)
+        np.add.at(R, pos[:, 1], -gp)
+        np.add.at(E, neg[active, 0], gn)
+        np.add.at(E, neg[active, 2], -gn)
+        np.add.at(R, neg[active, 1], gn)
+        E /= np.maximum(np.linalg.norm(E, axis=1, keepdims=True), 1e-12)
+    return loss
+
+
+# ---------------------------------------------------------------------------
+# meta-training
+
+
+def sample_episode(entry, batch_size, rng):
+    triples = entry.triples
+    if len(triples) < 2:
+        return None
+    ref_idx = int(rng.integers(len(triples)))
+    reference = triples[ref_idx]
+    rest = [t for i, t in enumerate(triples) if i != ref_idx]
+    take = min(batch_size, len(rest))
+    picked = rng.choice(len(rest), size=take, replace=False)
+    positives = [(rest[i].head, rest[i].tail) for i in picked]
+    negatives = []
+    for head, _ in positives:
+        banned = entry.true_tails.get(head, set())
+        pool = entry.candidate_pool[~np.isin(entry.candidate_pool,
+                                             np.fromiter(banned, dtype=np.intp))]
+        if pool.size == 0:
+            pool = np.array([e for e in range(int(entry.candidate_pool.max()) + 1)
+                             if e not in banned], dtype=np.intp)
+        negatives.append((head, int(pool[int(rng.integers(pool.size))])))
+    return Episode(entry.relation, reference, positives, negatives)
 
 
 # ---------------------------------------------------------------------------

@@ -330,6 +330,15 @@ def replace_line(number, new):
     return edit
 
 
+def put_bad_byte(path):
+    """Put the byte 0xff, which UTF-8 never uses, at the start of line 2."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    cut = data.index(b"\n") + 1
+    with open(path, "wb") as fh:
+        fh.write(data[:cut] + b"\xff" + data[cut:])
+
+
 def first_task_file(ds_dir):
     return os.path.join(ds_dir, "tasks", sorted(os.listdir(os.path.join(ds_dir, "tasks")))[0])
 
@@ -358,9 +367,13 @@ class TestBadDatasetFiles:
         (lambda d: rewrite(first_task_file(d), drop_key("queries")),
          "missing field or unknown name 'queries'"),
         (lambda d: rewrite(first_task_file(d), lambda text: "[]"), "unexpected layout"),
+        (lambda d: put_bad_byte(os.path.join(d, "entities.txt")),
+         "entities.txt: not UTF-8 text"),
+        (lambda d: put_bad_byte(os.path.join(d, "background.txt")),
+         "background.txt: not UTF-8 text"),
     ], ids=["short-background-line", "unknown-background-name", "missing-task-file",
             "task-not-json", "task-without-reference", "task-without-queries",
-            "task-not-object"])
+            "task-not-object", "entities-not-utf8", "background-not-utf8"])
     def test_damaged_dataset_is_data_error(self, workdir, tmp_path, capsys, damage, message):
         ds = str(tmp_path / "ds")
         shutil.copytree(workdir["ds"], ds)
@@ -383,6 +396,20 @@ class TestBadBuildInputs:
         sidecar = str(tmp_path / "types.tsv")
         assert self.build(dump_path, tmp_path, "--type-sidecar", sidecar) == 2
         assert "cannot read %s" % sidecar in capsys.readouterr().err
+
+    def test_input_not_utf8_is_data_error(self, dump_path, tmp_path, capsys):
+        dump = str(tmp_path / "dump.tsv")
+        shutil.copy(dump_path, dump)
+        put_bad_byte(dump)
+        assert self.build(dump, tmp_path) == 2
+        assert "%s: not UTF-8 text" % dump in capsys.readouterr().err
+
+    def test_type_sidecar_not_utf8_is_data_error(self, dump_path, tmp_path, capsys):
+        sidecar = tmp_path / "types.tsv"
+        sidecar.write_text("concept:a:x\tthing\nconcept:b:y\tthing\n")
+        put_bad_byte(str(sidecar))
+        assert self.build(dump_path, tmp_path, "--type-sidecar", str(sidecar)) == 2
+        assert "%s: not UTF-8 text" % sidecar in capsys.readouterr().err
 
     @pytest.mark.parametrize("content", [
         None, "{", json.dumps({"meta_train": [], "meta_test": []}), "[]"])

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+import reference
 
+from oneshot_kgc import embeddings
 from oneshot_kgc.embeddings import (EmbeddingTable, export_vectors, init_table,
                                     load_table, random_table, save_table,
                                     score, score_batch, score_candidates,
@@ -126,6 +128,42 @@ class TestTraining:
     def test_empty_triples_rejected(self):
         with pytest.raises(DataError):
             train_embeddings([], 5, 2, epochs=1)
+
+
+class TestTransEStep:
+    """The TransE step gives the reference step's tables bit for bit."""
+
+    @pytest.mark.parametrize("row_shape", [(8,), (2, 4), (5, 5)],
+                             ids=["2-D", "ComplEx-3-D", "RESCAL-3-D"])
+    def test_scatter_add_matches_add_at(self, row_shape):
+        rng = np.random.default_rng(0)
+        table = rng.normal(size=(30,) + row_shape)
+        rows = rng.integers(6, size=500)            # every id repeats many times
+        # magnitudes 1e-8..1e8, so any other summation order changes bits
+        scale = 10.0 ** rng.integers(-8, 9, size=(500,) + (1,) * len(row_shape))
+        values = rng.normal(size=(500,) + row_shape) * scale
+        want = table.copy()
+        np.add.at(want, rows, values)
+        embeddings._scatter_add(table, rows, values)
+        assert np.array_equal(table, want)
+
+    @pytest.mark.parametrize("mode", ["tail", "head", "both"])
+    def test_step_matches_reference_step(self, mode):
+        # more rows than one renormalisation block, so the blocks are exercised
+        n_ent, n_rel, k = 2 * embeddings.RENORM_BLOCK + 123, 7, 3
+        rng = np.random.default_rng(1)
+        table = init_table("TransE", n_ent, n_rel, 16, rng)
+        embeddings._renormalize_rows(table.ent)
+        ref = EmbeddingTable("TransE", 16, table.ent.copy(), table.rel.copy())
+        for _ in range(3):
+            pos = np.stack([rng.integers(40, size=600), rng.integers(n_rel, size=600),
+                            rng.integers(40, size=600)], axis=1)
+            neg = embeddings._sample_negatives(rng, pos, n_ent, mode, k)
+            loss = embeddings._step_transe(table, pos, neg, k, 0.05, 1.0)
+            assert loss > 0
+            assert loss == reference.step_transe(ref, pos, neg, k, 0.05, 1.0)
+            assert np.array_equal(table.ent, ref.ent)
+            assert np.array_equal(table.rel, ref.rel)
 
 
 class TestExport:

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+import reference
 
 from oneshot_kgc import autodiff as ad
 from oneshot_kgc import meta_trainer
@@ -60,6 +61,52 @@ class TestSampleEpisode:
         a = sample_episode(entry, 4, np.random.default_rng(3))
         b = sample_episode(entry, 4, np.random.default_rng(3))
         assert a == b
+
+
+def crowded_task(seed):
+    """A task whose heads repeat, so most have several true tails, and whose
+    queries sometimes leave their truth out of the candidates, so some true
+    tails lie outside the pool."""
+    rng = np.random.default_rng(seed)
+    n_heads, n_ent = int(rng.integers(1, 6)), int(rng.integers(8, 30))
+    heads = rng.integers(n_heads, size=int(rng.integers(2, 20)))
+    tails = rng.integers(n_ent, size=heads.size)
+    queries = []
+    for h, t in zip(heads[1:].tolist(), tails[1:].tolist()):
+        cands = set(rng.integers(n_ent, size=int(rng.integers(1, 12))).tolist())
+        if rng.random() < 0.8:
+            cands.add(t)
+        queries.append((h, t, sorted(cands)))
+    return TaskSet(0, Triple(int(heads[0]), 0, int(tails[0])), queries)
+
+
+class TestSampleEpisodeAgainstReference:
+    """The skip-table sampler draws exactly what the np.isin filter drew."""
+
+    def assert_same_draws(self, entry, seed, batch_size):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(5):
+            assert sample_episode(entry, batch_size, rng) == \
+                reference.sample_episode(entry, batch_size, ref_rng)
+        assert rng.integers(1 << 30) == ref_rng.integers(1 << 30)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_crowded_tasks(self, seed):
+        entry = TaskPool([crowded_task(seed)]).get(0)
+        if seed == 0:
+            pool = set(entry.candidate_pool.tolist())
+            assert any(not tails <= pool for tails in entry.true_tails.values())
+        self.assert_same_draws(entry, seed, batch_size=int(seed % 7) + 1)
+
+    def test_every_candidate_banned_falls_back_to_all_other_entities(self):
+        # head 0's true tails 1 and 3 are the whole pool
+        task = TaskSet(0, Triple(0, 0, 1), [(0, 3, [1, 3]), (2, 1, [1])])
+        entry = TaskPool([task]).get(0)
+        for seed in range(20):
+            self.assert_same_draws(entry, seed, batch_size=2)
+        ep = sample_episode(entry, 2, np.random.default_rng(0))
+        for head, tail in ep.negatives:
+            assert tail not in entry.true_tails[head]
 
 
 class TestTaskPool:
