@@ -584,8 +584,10 @@ class Adam:
         self.eps = eps
         self.schedule = schedule
         self.t = 0
-        self._m = [np.zeros_like(p.data) for p in self.params]
-        self._v = [np.zeros_like(p.data) for p in self.params]
+        # np.zeros, unlike zeros_like, leaves the pages unwritten until a
+        # step touches them, so a table's untouched rows cost no memory
+        self._m = [np.zeros(p.data.shape, dtype=p.data.dtype) for p in self.params]
+        self._v = [np.zeros(p.data.shape, dtype=p.data.dtype) for p in self.params]
 
     def current_lr(self):
         """Learning rate of the latest step (of the first one before any step)."""
@@ -632,15 +634,17 @@ class Adam:
 def save_checkpoint(path, arrays, metadata=None):
     """Write named arrays to ``path.bin`` with a JSON index at ``path.json``.
 
-    Each file is written under a temporary name and then moved into place,
-    so an interrupted write leaves the previous file whole.
+    The arrays are stored back to back in name order, each written from its
+    own buffer without a copy. Each file is written under a temporary name
+    and then moved into place, so an interrupted write leaves the previous
+    file whole.
     """
     index = {}
     offset = 0
     with _replacing(path + ".bin", "wb") as fh:
         for name in sorted(arrays):
             arr = np.ascontiguousarray(np.asarray(arrays[name], dtype=np.float64))
-            fh.write(arr.tobytes())
+            fh.write(arr)
             index[name] = {"offset": offset, "shape": list(arr.shape)}
             offset += arr.nbytes
     with _replacing(path + ".json", "w") as fh:
@@ -662,34 +666,51 @@ def _replacing(path, mode):
 def load_checkpoint(path, format_version=None):
     """Read a checkpoint written by :func:`save_checkpoint`; returns (arrays, metadata).
 
-    Raises :class:`DataError` when a file is missing or unreadable, when the
-    blob does not hold exactly the values its index describes, or when
-    ``format_version`` is given and the metadata records another one.
+    Each array is read from the blob into its own buffer. Raises
+    :class:`DataError` when a file is missing or unreadable, when the index
+    does not tile the blob exactly (integer shapes and offsets, each entry
+    starting where the one before it ends, the last ending at the end of
+    the blob), or when ``format_version`` is given and the metadata records
+    another one.
     """
     header = read_checkpoint_index(path)
     try:
         n_bytes = os.path.getsize(path + ".bin")
-        blob = np.fromfile(path + ".bin", dtype=np.float64)
         index, metadata = header["params"], header.get("metadata", {})
-        entries = [(name, tuple(e["shape"]), e["offset"]) for name, e in index.items()]
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+        entries = [(e["offset"], tuple(e["shape"]), name) for name, e in index.items()]
+    except (OSError, KeyError, TypeError, AttributeError) as exc:
         raise DataError("cannot read checkpoint %s: %s" % (path, exc))
     if format_version is not None and metadata.get("format_version") != format_version:
         raise DataError("checkpoint %s has format version %r, expected %r"
                         % (path, metadata.get("format_version"), format_version))
+    for offset, shape, name in entries:
+        if not all(type(n) is int and n >= 0 for n in (offset,) + shape):
+            raise DataError("checkpoint %s: %s has offset %r and shape %r; both must be "
+                            "non-negative integers" % (path, name, offset, list(shape)))
+    # in offset order (an empty entry before a full one at the same offset)
+    entries.sort(key=lambda e: (e[0], math.prod(e[1]), e[2]))
     arrays = {}
-    described = 0
-    for name, shape, offset in entries:
-        count = int(np.prod(shape))
-        start = offset // 8
-        if offset % 8 or start + count > blob.size:
-            raise DataError("checkpoint %s: %s runs past the end of its %d-byte blob"
-                            % (path, name, n_bytes))
-        arrays[name] = blob[start:start + count].reshape(shape).copy()
-        described += count
-    if 8 * described != n_bytes:
+    end = 0
+    try:
+        with open(path + ".bin", "rb") as fh:
+            for offset, shape, name in entries:
+                if offset != end:
+                    raise DataError("checkpoint %s: %s starts at byte %d, not at byte %d "
+                                    "where the entry before it ends" % (path, name, offset, end))
+                end += 8 * math.prod(shape)
+                if end > n_bytes:
+                    raise DataError("checkpoint %s: %s runs past the end of its %d-byte blob"
+                                    % (path, name, n_bytes))
+                arr = np.empty(shape)
+                if fh.readinto(arr) != arr.nbytes:
+                    raise DataError("checkpoint %s: %s runs past the end of its blob"
+                                    % (path, name))
+                arrays[name] = arr
+    except (OSError, ValueError) as exc:        # ValueError: a shape too large to allocate
+        raise DataError("cannot read checkpoint %s: %s" % (path, exc))
+    if end != n_bytes:
         raise DataError("checkpoint %s: blob holds %d bytes, its index describes %d"
-                        % (path, n_bytes, 8 * described))
+                        % (path, n_bytes, end))
     return arrays, metadata
 
 

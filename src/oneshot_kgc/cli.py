@@ -91,13 +91,14 @@ def _read_explicit_split(path):
 
 def _baseline_triples(ds):
     """Background plus all meta-train triples plus the one-shot reference of
-    every validation/test relation (standard-baseline training regime)."""
-    triples = list(ds.background)
+    every validation/test relation (standard-baseline training regime), as
+    an (N, 3) id array."""
+    extra = []
     for rel in ds.manifest.meta_train:
-        triples.extend(ds.tasks[rel].all_triples())
+        extra.extend(ds.tasks[rel].all_triples())
     for rel in ds.manifest.meta_valid + ds.manifest.meta_test:
-        triples.append(ds.tasks[rel].reference)
-    return triples
+        extra.append(ds.tasks[rel].reference)
+    return np.concatenate([ds.background, np.array(extra, dtype=np.intp).reshape(-1, 3)])
 
 
 def cmd_train_embeddings(args):
@@ -110,7 +111,7 @@ def cmd_train_embeddings(args):
         save_table(args.out, table)
         print("random table written to %s" % args.out)
         return
-    triples = list(ds.background) if args.regime == "matcher" else _baseline_triples(ds)
+    triples = ds.background if args.regime == "matcher" else _baseline_triples(ds)
     table, losses = train_embeddings(
         triples, ds.vocab.n_entities, ds.vocab.n_relations, model=args.model,
         dim=cfg.dim, epochs=cfg.embedding_epochs, lr=cfg.embedding_lr,

@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 import os
 import re
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -126,6 +128,31 @@ def _task_filename(name):
     return re.sub(r"[^A-Za-z0-9_.-]", "_", name) + ".json"
 
 
+def _task_json(payload):
+    """``json.dumps(payload, indent=1, sort_keys=True)`` for a task file.
+
+    ``payload`` holds a relation name, a reference of three names and a list
+    of queries, each a head, a truth and a list of candidate names. With an
+    indent ``json`` takes its pure-Python encoder; this lays out the fixed
+    schema by hand and escapes each name with the C string encoder.
+    """
+    enc = encode_basestring_ascii
+
+    def names(items, level):
+        if not items:
+            return "[]"
+        pad = "\n" + " " * (level + 1)
+        return "[" + ",".join([pad + enc(name) for name in items]) + "\n" + " " * level + "]"
+
+    queries = [
+        '\n  {\n   "candidates": %s,\n   "head": %s,\n   "truth": %s\n  }'
+        % (names(q["candidates"], 3), enc(q["head"]), enc(q["truth"]))
+        for q in payload["queries"]]
+    return ('{\n "queries": %s,\n "reference": %s,\n "relation": %s\n}'
+            % ("[" + ",".join(queries) + "\n ]" if queries else "[]",
+               names(payload["reference"], 1), enc(payload["relation"])))
+
+
 def emit_dataset(out_dir, triples, vocab, manifest, candidate_floor=20):
     """Write background file, per-task files with candidate sets, and the manifest.
 
@@ -176,7 +203,7 @@ def emit_dataset(out_dir, triples, vocab, manifest, candidate_floor=20):
         }
         path = os.path.join(out_dir, "tasks", _task_filename(vocab.id2rel[rel]))
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=1, sort_keys=True)
+            fh.write(_task_json(payload))
 
     manifest_payload = {
         "meta_train": [vocab.id2rel[r] for r in manifest.meta_train],
@@ -235,7 +262,7 @@ class Dataset:
 
     def __init__(self, vocab, background, tasks, manifest):
         self.vocab = vocab
-        self.background = background        # list[Triple]
+        self.background = background        # (N, 3) intp array: head, relation, tail ids
         self.tasks = tasks                  # relation-id -> TaskSet
         self.manifest = manifest
 
@@ -246,6 +273,81 @@ class Dataset:
         return [self.tasks[r] for r in rel_ids]
 
 
+def _read_names(path):
+    """The names of a vocabulary file, one per line, and the name -> id map
+    (id = line number - 1); a name on two lines is a :class:`DataError`."""
+    with open_input(path) as fh:
+        names = fh.read().split("\n")
+    if not names[-1]:
+        names.pop()         # the text after the final newline
+    ids = dict(zip(names, range(len(names))))
+    if len(ids) != len(names):
+        first = {}
+        for lineno, name in enumerate(names, 1):
+            if first.setdefault(name, lineno) != lineno:
+                raise DataError("%s: line %d: repeats the name on line %d (%r)"
+                                % (path, lineno, first[name], name))
+    return names, ids
+
+
+def _read_background(path, vocab):
+    """The triples of ``background.txt`` as an (N, 3) intp array of ids.
+
+    One pass splits the whole text and maps each column through the
+    vocabulary. A file that pass does not take whole (a line without exactly
+    two tabs, no final newline, an unknown name, bytes that are not UTF-8)
+    is read again line by line, which accepts what the line loop accepts and
+    names the file and line of the first fault.
+    """
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise DataError("cannot read %s: %s" % (path, exc.strerror)) from None
+    # the tab and newline bytes (and any control byte below them) must run
+    # tab, tab, newline: every line holds three fields and ends in a newline
+    buf = np.frombuffer(data, dtype=np.uint8)
+    separators = buf[buf <= 10]
+    del buf
+    if (separators.size % 3 or not (separators.reshape(-1, 3) == (9, 9, 10)).all()
+            or data and not data.endswith(b"\n")):
+        return _read_background_lines(path, vocab)
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError:
+        return _read_background_lines(path, vocab)
+    del data
+    text = text.replace("\n", "\t")
+    fields = text.split("\t")
+    del text
+    fields.pop()            # the empty text after the final newline
+    coded = np.empty((len(fields) // 3, 3), dtype=np.intp)
+    try:
+        for column, ids in enumerate((vocab.ent2id, vocab.rel2id, vocab.ent2id)):
+            if coded.size:      # one name gives one id, not a tuple; it broadcasts
+                coded[:, column] = operator.itemgetter(*fields[column::3])(ids)
+    except KeyError:
+        return _read_background_lines(path, vocab)
+    return coded
+
+
+def _read_background_lines(path, vocab):
+    """:func:`_read_background` one line at a time, for a file with a fault."""
+    rows = []
+    with open_input(path) as fh:
+        for line in fh:
+            try:
+                h, r, t = line.rstrip("\n").split("\t")
+                rows.append((vocab.ent2id[h], vocab.rel2id[r], vocab.ent2id[t]))
+            except ValueError:
+                raise DataError("%s: line %d: expected 3 tab-separated fields"
+                                % (path, len(rows) + 1)) from None
+            except KeyError as exc:
+                raise DataError("%s: line %d: unknown name %s"
+                                % (path, len(rows) + 1, exc)) from None
+    return np.array(rows, dtype=np.intp).reshape(-1, 3)
+
+
 def load_dataset(dataset_dir):
     missing = [name for name in ("entities.txt", "relations.txt", "background.txt",
                                  "manifest.json")
@@ -254,26 +356,9 @@ def load_dataset(dataset_dir):
         raise DataError("%s is not a dataset directory: missing %s"
                         % (dataset_dir, ", ".join(missing)))
     vocab = Vocab()
-    with open_input(os.path.join(dataset_dir, "entities.txt")) as fh:
-        for line in fh:
-            vocab.add_entity(line.rstrip("\n"))
-    with open_input(os.path.join(dataset_dir, "relations.txt")) as fh:
-        for line in fh:
-            vocab.add_relation(line.rstrip("\n"))
-
-    background = []
-    path = os.path.join(dataset_dir, "background.txt")
-    with open_input(path) as fh:
-        for line in fh:
-            try:
-                h, r, t = line.rstrip("\n").split("\t")
-                background.append(Triple(vocab.ent2id[h], vocab.rel2id[r], vocab.ent2id[t]))
-            except ValueError:
-                raise DataError("%s: line %d: expected 3 tab-separated fields"
-                                % (path, len(background) + 1)) from None
-            except KeyError as exc:
-                raise DataError("%s: line %d: unknown name %s"
-                                % (path, len(background) + 1, exc)) from None
+    vocab.id2ent, vocab.ent2id = _read_names(os.path.join(dataset_dir, "entities.txt"))
+    vocab.id2rel, vocab.rel2id = _read_names(os.path.join(dataset_dir, "relations.txt"))
+    background = _read_background(os.path.join(dataset_dir, "background.txt"), vocab)
 
     path = os.path.join(dataset_dir, "manifest.json")
     try:

@@ -8,7 +8,6 @@ matching model consumes them exported to one 1-D vector per symbol.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -131,7 +130,11 @@ def _sample_negatives(rng, pos, n_ent, mode, k):
 def train_embeddings(triples, n_ent, n_rel, model="TransE", dim=100, epochs=1000,
                      lr=0.01, neg_ratio=2, corruption="tail", margin=1.0,
                      reg=1e-4, batch_size=512, seed=0):
-    """Train a baseline model with minibatch SGD; returns (table, epoch losses)."""
+    """Train a baseline model with minibatch SGD; returns (table, epoch losses).
+
+    ``triples`` is an (N, 3) array of (head, relation, tail) ids or a
+    sequence of :class:`~oneshot_kgc.graph_store.Triple`.
+    """
     if epochs <= 0:
         raise ConfigError("epochs must be positive")
     if neg_ratio < 1:
@@ -140,8 +143,7 @@ def train_embeddings(triples, n_ent, n_rel, model="TransE", dim=100, epochs=1000
     table = init_table(model, n_ent, n_rel, dim, rng)
     if model == "TransE":
         _renormalize_rows(table.ent)
-    data = np.fromiter(itertools.chain.from_iterable(triples), dtype=np.intp,
-                       count=3 * len(triples)).reshape(-1, 3)
+    data = np.asarray(triples, dtype=np.intp).reshape(-1, 3)
     if data.size == 0:
         raise DataError("no training triples")
 

@@ -10,7 +10,6 @@ type constraint, through a type -> entity-id index made once per build.
 from __future__ import annotations
 
 import contextlib
-import itertools
 from typing import NamedTuple
 
 import numpy as np
@@ -37,7 +36,6 @@ class Vocab:
         self.id2ent = []
         self.rel2id = {}
         self.id2rel = []
-        self._types = []
         self._type_override = {}
 
     @property
@@ -54,7 +52,6 @@ class Vocab:
             eid = len(self.id2ent)
             self.ent2id[name] = eid
             self.id2ent.append(name)
-            self._types.append(_default_type(name))
         return eid
 
     def add_relation(self, name):
@@ -67,7 +64,10 @@ class Vocab:
 
     def entity_type(self, eid):
         name = self.id2ent[eid]
-        return self._type_override.get(name, self._types[eid])
+        if name in self._type_override:
+            return self._type_override[name]
+        parts = name.split(":", 2)
+        return parts[1] if len(parts) >= 2 else name
 
     def apply_type_sidecar(self, path):
         """Load a two-column (entity, type) TSV overriding default type tags."""
@@ -99,11 +99,6 @@ def open_input(path):
             yield fh
         except UnicodeDecodeError as exc:
             raise DataError("%s: not UTF-8 text: %s" % (path, exc)) from None
-
-
-def _default_type(name):
-    parts = name.split(":")
-    return parts[1] if len(parts) >= 2 else name
 
 
 def load_triples(path, vocab=None):
@@ -160,6 +155,9 @@ class BackgroundGraph:
 def build_neighbor_index(triples, n_entities, max_neighbors=50):
     """Build the background graph, capping each neighbor list at the maximum.
 
+    ``triples`` is an (N, 3) array of (head, relation, tail) ids, such as a
+    loaded dataset's background, or a sequence of :class:`Triple`.
+
     Each entity's list keeps its triples in input order. Over-cap lists are
     downsampled once, uniformly without replacement, in ascending entity
     order from one fixed random stream, so the graph depends only on
@@ -167,8 +165,7 @@ def build_neighbor_index(triples, n_entities, max_neighbors=50):
     """
     if max_neighbors <= 0:
         raise DataError("max_neighbors must be positive")
-    coded = np.fromiter(itertools.chain.from_iterable(triples), dtype=np.intp,
-                        count=3 * len(triples)).reshape(-1, 3)
+    coded = np.asarray(triples, dtype=np.intp).reshape(-1, 3)
     coded = coded[np.argsort(coded[:, 0], kind="stable")]
     counts = np.bincount(coded[:, 0], minlength=n_entities)
     if counts.size != n_entities or (coded.size and coded[:, 2].max() >= n_entities):

@@ -222,10 +222,13 @@ def load_matcher(path):
 
 def assign_arrays(targets, arrays, path):
     """Copy each of ``arrays`` into the target array of the same name; every
-    target must be present in ``arrays`` with its shape."""
+    target must be present in ``arrays`` with its shape. A target that is
+    the loaded array itself (a table :func:`load_matcher` installed) is not
+    copied."""
     for name, target in targets.items():
         arr = arrays.get(name)
         if arr is None or arr.shape != target.shape:
             raise DataError("checkpoint %s: %s has shape %s, expected %s"
                             % (path, name, None if arr is None else arr.shape, target.shape))
-        target[...] = arr
+        if arr is not target:
+            target[...] = arr

@@ -89,9 +89,10 @@ def write_dump(path, rows):
 
 
 def beacon_map(background, vocab, marker=MARKER_RELATION):
-    """entity-id -> beacon-id reached through the marker relation."""
-    marker_id = vocab.rel2id[marker]
-    return {h: t for h, r, t in background if r == marker_id}
+    """entity-id -> beacon-id reached through the marker relation, from an
+    (N, 3) array of background (head, relation, tail) ids."""
+    marked = background[background[:, 1] == vocab.rel2id[marker]]
+    return dict(zip(marked[:, 0].tolist(), marked[:, 2].tolist()))
 
 
 def oracle_score_fn(dataset):

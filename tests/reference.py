@@ -11,6 +11,11 @@ builder's functions as they were before the type index and the sorted join:
 one scan over every entity per query, and one set intersection per pair of
 relations. The tests check that the program returns exactly what they do.
 
+``load_dataset`` is the dataset loader as it was before the columnar
+background: one ``add_entity`` call per vocabulary line and one
+:class:`Triple` per background line. The program must load the same ids,
+vocabulary and tasks, and raise the same errors.
+
 The padded neighbor encoder and the unfactored matching processor are the
 straightforward forms of the model: the padded encoder applies the affine
 map to every neighbor slot up to the cap before it pools, and the unfactored
@@ -19,14 +24,17 @@ step. The program computes the same functions in fewer operations; the
 tests compare the two within a tolerance fixed from float64 rounding.
 """
 
+import json
+import os
 from collections import defaultdict
 
 import numpy as np
 
 from oneshot_kgc import autodiff as ad
-from oneshot_kgc.dataset import INVERSE_THRESHOLD
+from oneshot_kgc.dataset import (INVERSE_THRESHOLD, Dataset, SplitManifest, TaskSet,
+                                 _task_filename)
 from oneshot_kgc.errors import DataError
-from oneshot_kgc.graph_store import BackgroundGraph
+from oneshot_kgc.graph_store import BackgroundGraph, Triple, Vocab, open_input
 from oneshot_kgc.meta_trainer import Episode
 
 GATES = "ifgo"           # column blocks of the fused LSTM parameters
@@ -121,6 +129,85 @@ def detect_inverse_relations(triples, vocab):
             if overlap / len(pairs[r1]) >= INVERSE_THRESHOLD:
                 drop.add(max(r1, r2, key=lambda r: vocab.id2rel[r]))
     return drop
+
+
+def load_dataset(dataset_dir):
+    """An emitted dataset directory, its background a list of :class:`Triple`."""
+    missing = [name for name in ("entities.txt", "relations.txt", "background.txt",
+                                 "manifest.json")
+               if not os.path.isfile(os.path.join(dataset_dir, name))]
+    if missing:
+        raise DataError("%s is not a dataset directory: missing %s"
+                        % (dataset_dir, ", ".join(missing)))
+    vocab = Vocab()
+    with open_input(os.path.join(dataset_dir, "entities.txt")) as fh:
+        for line in fh:
+            vocab.add_entity(line.rstrip("\n"))
+    with open_input(os.path.join(dataset_dir, "relations.txt")) as fh:
+        for line in fh:
+            vocab.add_relation(line.rstrip("\n"))
+
+    background = []
+    path = os.path.join(dataset_dir, "background.txt")
+    with open_input(path) as fh:
+        for line in fh:
+            try:
+                h, r, t = line.rstrip("\n").split("\t")
+                background.append(Triple(vocab.ent2id[h], vocab.rel2id[r], vocab.ent2id[t]))
+            except ValueError:
+                raise DataError("%s: line %d: expected 3 tab-separated fields"
+                                % (path, len(background) + 1)) from None
+            except KeyError as exc:
+                raise DataError("%s: line %d: unknown name %s"
+                                % (path, len(background) + 1, exc)) from None
+
+    path = os.path.join(dataset_dir, "manifest.json")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            m = json.load(fh)
+        manifest = SplitManifest(
+            [vocab.rel2id[n] for n in m["meta_train"]],
+            [vocab.rel2id[n] for n in m["meta_valid"]],
+            [vocab.rel2id[n] for n in m["meta_test"]],
+            [vocab.rel2id[n] for n in m["background"]],
+            m["seed"],
+        ).validate()
+    except ValueError as exc:
+        raise DataError("%s: not valid JSON: %s" % (path, exc)) from None
+    except KeyError as exc:
+        raise DataError("%s: missing field or unknown name %s" % (path, exc)) from None
+    except TypeError as exc:
+        raise DataError("%s: unexpected layout: %s" % (path, exc)) from None
+
+    tasks = {}
+    try:
+        for rel in manifest.task_relations():
+            path = os.path.join(dataset_dir, "tasks", _task_filename(vocab.id2rel[rel]))
+            with open(path, encoding="utf-8") as fh:
+                payload = json.load(fh)
+            ref = Triple(vocab.ent2id[payload["reference"][0]], rel,
+                         vocab.ent2id[payload["reference"][2]])
+            queries = [(vocab.ent2id[q["head"]], vocab.ent2id[q["truth"]],
+                        [vocab.ent2id[c] for c in q["candidates"]])
+                       for q in payload["queries"]]
+            tasks[rel] = TaskSet(rel, ref, queries)
+    except OSError as exc:
+        raise DataError("%s: cannot read task file: %s" % (path, exc.strerror)) from None
+    except ValueError as exc:
+        raise DataError("%s: not valid JSON: %s" % (path, exc)) from None
+    except KeyError as exc:
+        raise DataError("%s: missing field or unknown name %s" % (path, exc)) from None
+    except (IndexError, TypeError) as exc:
+        raise DataError("%s: unexpected layout: %s" % (path, exc)) from None
+    return Dataset(vocab, background, tasks, manifest)
+
+
+def save_checkpoint_bytes(path, arrays):
+    """The blob :func:`oneshot_kgc.autodiff.save_checkpoint` writes, made
+    with ``tobytes`` one array at a time."""
+    with open(path, "wb") as fh:
+        for name in sorted(arrays):
+            fh.write(np.ascontiguousarray(np.asarray(arrays[name], dtype=np.float64)).tobytes())
 
 
 # ---------------------------------------------------------------------------

@@ -334,7 +334,7 @@ class TestC6DatasetInvariants:
         n_task = sum(1 + len(t.queries) for t in ds.tasks.values())
         assert len(ds.background) + n_task == len(raw)
         task_rels = set(ds.manifest.task_relations())
-        assert all(t.relation not in task_rels for t in ds.background)
+        assert all(r not in task_rels for r in ds.background[:, 1].tolist())
 
         def build(out):
             triples, voc = load_triples(dump_path)

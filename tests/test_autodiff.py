@@ -1,3 +1,4 @@
+import json
 import math
 import threading
 
@@ -6,6 +7,7 @@ import pytest
 
 from oneshot_kgc import autodiff as ad
 from oneshot_kgc.errors import DataError, NumericError
+import reference
 from reference import cosine
 
 
@@ -351,6 +353,50 @@ class TestCheckpoint:
         assert meta["kind"] == "test"
         for name, arr in arrays.items():
             assert np.array_equal(loaded[name], arr)
+
+    def test_same_bytes_as_tobytes_and_each_array_its_own(self, tmp_path):
+        path = str(tmp_path / "ckpt")
+        rng = np.random.default_rng(0)
+        arrays = {"w": rng.standard_normal((7, 5)), "empty": np.zeros((0, 3)),
+                  "scalar": np.float64(2.5), "ints": np.arange(4), "b": rng.standard_normal(3),
+                  "strided": rng.standard_normal((6, 4))[::2, 1:]}
+        ad.save_checkpoint(path, arrays)
+        reference.save_checkpoint_bytes(str(tmp_path / "want.bin"), arrays)
+        with open(path + ".bin", "rb") as got, open(str(tmp_path / "want.bin"), "rb") as want:
+            assert got.read() == want.read()
+        loaded, _ = ad.load_checkpoint(path)
+        for name, arr in arrays.items():
+            assert np.array_equal(loaded[name].reshape(np.shape(arr)), arr)
+            assert loaded[name].flags.owndata and loaded[name].dtype == np.float64
+
+    @pytest.mark.parametrize("offsets, message", [
+        ({"a": 0, "b": 0}, "a starts at byte 0, not at byte 8"),
+        ({"a": 0, "b": -16}, "offset -16"),
+        ({"a": 0, "b": 56}, "b starts at byte 56, not at byte 48"),
+        ({"a": 16, "b": 0}, "a starts at byte 16, not at byte 8"),
+        ({"a": 0, "b": "48"}, "non-negative integers"),
+        ({"a": 0, "b": True}, "non-negative integers"),
+    ])
+    def test_index_must_tile_the_blob(self, tmp_path, offsets, message):
+        path = str(tmp_path / "ckpt")
+        ad.save_checkpoint(path, {"a": np.arange(6.0), "b": np.arange(1.0)})
+        with open(path + ".json") as fh:
+            header = json.load(fh)
+        for name, offset in offsets.items():
+            header["params"][name]["offset"] = offset
+        with open(path + ".json", "w") as fh:
+            json.dump(header, fh)
+        with pytest.raises(DataError, match=message):
+            ad.load_checkpoint(path)
+
+    def test_index_with_a_bad_shape_is_data_error(self, tmp_path):
+        path = str(tmp_path / "ckpt")
+        ad.save_checkpoint(path, {"a": np.arange(6.0)})
+        for shape in ([2, -3], [6.0], "6", [0, 2 ** 70]):
+            with open(path + ".json", "w") as fh:
+                json.dump({"params": {"a": {"offset": 0, "shape": shape}}}, fh)
+            with pytest.raises(DataError, match="checkpoint"):
+                ad.load_checkpoint(path)
 
     def test_blob_size_checked_against_index(self, tmp_path):
         path = str(tmp_path / "ckpt")

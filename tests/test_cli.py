@@ -250,6 +250,18 @@ def truncate_blob(path):
         fh.truncate(os.path.getsize(path + ".bin") - 200)
 
 
+def move_entry(path, move):
+    """Give the checkpoint entries, in offset order, the offsets ``move`` maps
+    their list of offsets to."""
+    with open(path + ".json") as fh:
+        header = json.load(fh)
+    entries = sorted(header["params"].values(), key=lambda e: e["offset"])
+    for entry, offset in zip(entries, move([e["offset"] for e in entries])):
+        entry["offset"] = offset
+    with open(path + ".json", "w") as fh:
+        json.dump(header, fh)
+
+
 class TestCheckpointValidation:
     def evaluate(self, workdir, checkpoint):
         return main(["evaluate", "--dataset", workdir["ds"], "--checkpoint", checkpoint,
@@ -272,6 +284,21 @@ class TestCheckpointValidation:
         set_format_version(checkpoint, None)
         assert self.evaluate(workdir, checkpoint) == 2
         assert "format version None" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("move, message", [
+        (lambda offsets: [offsets[0], offsets[0]] + offsets[2:], "starts at byte 0, not at byte"),
+        (lambda offsets: offsets[:-1] + [-16], "must be non-negative integers"),
+        (lambda offsets: offsets[:-1] + [offsets[-1] + 8], "where the entry before it ends"),
+        (lambda offsets: offsets[:-1] + [offsets[-1] + 0.5], "must be non-negative integers"),
+    ], ids=["overlapping", "negative", "gapped", "fractional"])
+    def test_index_that_does_not_tile_the_blob_is_data_error(self, workdir, tmp_path, capsys,
+                                                             move, message):
+        checkpoint = os.path.join(copy_run(workdir, tmp_path), "matcher")
+        move_entry(checkpoint, move)
+        assert self.evaluate(workdir, checkpoint) == 2
+        err = capsys.readouterr().err
+        assert "data error: checkpoint %s" % checkpoint in err and message in err
+        assert "Traceback" not in err
 
     def test_resume_from_truncated_state_is_data_error(self, workdir, tmp_path, capsys):
         run = copy_run(workdir, tmp_path)
@@ -330,6 +357,14 @@ def replace_line(number, new):
     return edit
 
 
+def repeat_line(source, number):
+    def edit(text):
+        lines = text.splitlines(keepends=True)
+        lines[number - 1] = lines[source - 1]
+        return "".join(lines)
+    return edit
+
+
 def put_bad_byte(path):
     """Put the byte 0xff, which UTF-8 never uses, at the start of line 2."""
     with open(path, "rb") as fh:
@@ -371,9 +406,19 @@ class TestBadDatasetFiles:
          "entities.txt: not UTF-8 text"),
         (lambda d: put_bad_byte(os.path.join(d, "background.txt")),
          "background.txt: not UTF-8 text"),
+        (lambda d: rewrite(os.path.join(d, "background.txt"), replace_line(4, "a\tb\tc\td\n")),
+         "background.txt: line 4: expected 3 tab-separated fields"),
+        (lambda d: rewrite(os.path.join(d, "background.txt"), replace_line(5, "\n")),
+         "background.txt: line 5: expected 3 tab-separated fields"),
+        (lambda d: rewrite(os.path.join(d, "entities.txt"), repeat_line(2, 3)),
+         "entities.txt: line 3: repeats the name on line 2"),
+        (lambda d: rewrite(os.path.join(d, "relations.txt"), repeat_line(1, 4)),
+         "relations.txt: line 4: repeats the name on line 1"),
     ], ids=["short-background-line", "unknown-background-name", "missing-task-file",
             "task-not-json", "task-without-reference", "task-without-queries",
-            "task-not-object", "entities-not-utf8", "background-not-utf8"])
+            "task-not-object", "entities-not-utf8", "background-not-utf8",
+            "four-field-background-line", "blank-background-line", "repeated-entity",
+            "repeated-relation"])
     def test_damaged_dataset_is_data_error(self, workdir, tmp_path, capsys, damage, message):
         ds = str(tmp_path / "ds")
         shutil.copytree(workdir["ds"], ds)

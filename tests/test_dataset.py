@@ -1,13 +1,14 @@
 import hashlib
 import json
 import os
+import shutil
 from collections import Counter
 
 import numpy as np
 import pytest
 
 import reference
-from oneshot_kgc import dataset
+from oneshot_kgc import dataset, synthetic
 from oneshot_kgc.dataset import (INVERSE_THRESHOLD, build_dataset,
                                  detect_inverse_relations, load_dataset,
                                  partition_tasks, select_task_relations)
@@ -181,7 +182,7 @@ class TestEmittedDataset:
         assert set(seen) == set(ds.tasks)
 
     def test_no_task_triple_in_background(self, ds):
-        background = set(ds.background)
+        background = set(map(tuple, ds.background.tolist()))
         for task in ds.tasks.values():
             for trip in task.all_triples():
                 assert trip not in background
@@ -256,3 +257,107 @@ class TestEmittedDataset:
         assert sorted(m["meta_train"]) == sorted(
             ds.vocab.id2rel[r] for r in ds.manifest.meta_train)
         assert m["seed"] == ds.manifest.seed
+
+
+def write_dataset(root, rename):
+    """A dataset built from the synthetic dump with every entity renamed."""
+    dump = str(root / "dump.tsv")
+    synthetic.write_dump(dump, [(rename(h), r, rename(t))
+                                for h, r, t in synthetic.generate(seed=5)])
+    triples, vocab = load_triples(dump)
+    out = str(root / "ds")
+    build_dataset(out, triples, vocab, counts=(6, 2, 2), seed=3)
+    return out
+
+
+def assert_loads_as_line_loader(path):
+    new, old = load_dataset(path), reference.load_dataset(path)
+    assert new.vocab.id2ent == old.vocab.id2ent and new.vocab.ent2id == old.vocab.ent2id
+    assert new.vocab.id2rel == old.vocab.id2rel and new.vocab.rel2id == old.vocab.rel2id
+    assert ([new.vocab.entity_type(e) for e in range(new.vocab.n_entities)]
+            == [old.vocab.entity_type(e) for e in range(old.vocab.n_entities)])
+    assert new.background.dtype == np.intp and new.background.shape == (len(old.background), 3)
+    assert new.background.tolist() == [list(t) for t in old.background]
+    assert new.tasks == old.tasks
+    assert new.manifest == old.manifest
+    return new
+
+
+def edit_file(path, edit):
+    with open(path, encoding="utf-8", newline="") as fh:
+        text = fh.read()
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(edit(text))
+
+
+class TestColumnarLoad:
+    """The one-pass background parse loads what the line-by-line loader does."""
+
+    def test_synthetic_dataset_on_the_one_pass_path(self, dataset_dir, monkeypatch):
+        def refuse(path, vocab):
+            raise AssertionError("fell back to the line loop")
+        monkeypatch.setattr(dataset, "_read_background_lines", refuse)
+        ds = assert_loads_as_line_loader(dataset_dir)
+        assert len(ds.background) > 0
+
+    @pytest.mark.parametrize("rename", [
+        lambda name: "κόσμος:" + name + ":日本é",
+        lambda name: name.replace(":", "_"),
+    ], ids=["unicode", "no-colon"])
+    def test_renamed_entities(self, tmp_path, rename):
+        ds = assert_loads_as_line_loader(write_dataset(tmp_path, rename))
+        assert ds.vocab.id2ent[0] == rename(synthetic.generate(seed=5)[0][0])
+
+    @pytest.mark.parametrize("edit", [
+        lambda text: "",
+        lambda text: text[:-1],
+        lambda text: text.replace("\n", "\r\n"),
+        lambda text: text.splitlines(keepends=True)[0],
+        lambda text: text.splitlines(keepends=True)[0].rstrip("\n"),
+    ], ids=["empty", "no-final-newline", "crlf", "one-line", "one-line-no-newline"])
+    def test_edited_background(self, dataset_dir, tmp_path, edit):
+        path = str(tmp_path / "ds")
+        shutil.copytree(dataset_dir, path)
+        edit_file(os.path.join(path, "background.txt"), edit)
+        assert_loads_as_line_loader(path)
+
+    def test_names_without_final_newline(self, dataset_dir, tmp_path):
+        path = str(tmp_path / "ds")
+        shutil.copytree(dataset_dir, path)
+        for name in ("entities.txt", "relations.txt"):
+            edit_file(os.path.join(path, name), lambda text: text[:-1])
+        assert_loads_as_line_loader(path)
+
+    @pytest.mark.parametrize("line", ["h\tr\tt\t\n", "\t\t\n", "h\tr\r\tt\n"])
+    def test_bad_line_raises_what_the_line_loader_raises(self, dataset_dir, tmp_path, line):
+        path = str(tmp_path / "ds")
+        shutil.copytree(dataset_dir, path)
+        edit_file(os.path.join(path, "background.txt"),
+                  lambda text: "".join(text.splitlines(keepends=True)[:4] + [line]))
+        with pytest.raises(DataError) as want:
+            reference.load_dataset(path)
+        with pytest.raises(DataError) as got:
+            load_dataset(path)
+        assert str(got.value) == str(want.value)
+        assert "background.txt: line 5:" in str(got.value)
+
+
+def random_name(rng):
+    alphabet = ["a", "Z", "0", ":", " ", '"', "\\", "/", "\n", "\t", "\x00", "\x1f", "\x7f",
+                "é", "日", "\U0001F600", "\ud800"]
+    return "".join(rng.choice(alphabet) for _ in range(rng.integers(0, 8)))
+
+
+class TestTaskJson:
+    def test_same_text_as_json_dumps(self):
+        rng = np.random.default_rng(0)
+        for _ in range(300):
+            payload = {
+                "relation": random_name(rng),
+                "reference": [random_name(rng) for _ in range(3)],
+                "queries": [{"head": random_name(rng), "truth": random_name(rng),
+                             "candidates": [random_name(rng)
+                                            for _ in range(rng.integers(0, 5))]}
+                            for _ in range(rng.integers(0, 4))],
+            }
+            assert dataset._task_json(payload) == json.dumps(payload, indent=1, sort_keys=True)

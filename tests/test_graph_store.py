@@ -95,7 +95,7 @@ class TestNeighborIndex:
 
     def test_degree_histogram_matches_brute_force(self, ds, graph):
         brute = Counter()
-        capped = Counter(Counter(t.head for t in ds.background))
+        capped = Counter(Counter(ds.background[:, 0].tolist()))
         for eid in range(ds.vocab.n_entities):
             brute[min(capped.get(eid, 0), graph.max_neighbors)] += 1
         assert Counter(degree(graph, e) for e in range(graph.n_entities)) == brute
