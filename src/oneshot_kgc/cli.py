@@ -61,9 +61,13 @@ def cmd_build_dataset(args):
         vocab.apply_type_sidecar(args.type_sidecar)
     counts = None
     if args.counts:
-        counts = tuple(int(x) for x in args.counts.split(","))
-        if len(counts) != 3:
-            raise ConfigError("--counts expects three comma-separated integers")
+        try:
+            counts = tuple(int(x) for x in args.counts.split(","))
+        except ValueError:
+            counts = ()
+        if len(counts) != 3 or min(counts) < 0:
+            raise ConfigError("--counts expects three comma-separated non-negative "
+                              "integers, got %r" % args.counts)
     explicit = _read_explicit_split(args.explicit_split) if args.explicit_split else None
     manifest = build_dataset(args.out, triples, vocab, counts=counts,
                              band=(args.band_lo, args.band_hi), seed=args.seed,
@@ -197,6 +201,8 @@ def _kshot_tasks(ds, bucket, shots, seed):
 
 def cmd_evaluate(args):
     cfg = _resolve_config(args)
+    if args.shots < 1:
+        raise ConfigError("--shots must be at least 1, got %d" % args.shots)
     ds = load_dataset(args.dataset)
     tasks, refs = _kshot_tasks(ds, args.split, args.shots, cfg.seed)
     if args.checkpoint:

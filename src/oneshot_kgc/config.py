@@ -14,6 +14,9 @@ import numpy as np
 
 from .errors import ConfigError
 
+_BOOLEANS = {"true": True, "1": True, "yes": True, "on": True,
+             "false": False, "0": False, "no": False, "off": False}
+
 
 @dataclass
 class RunConfig:
@@ -50,9 +53,9 @@ class RunConfig:
     seed: int = 0
 
     def validate(self):
-        positive = ["dim", "embedding_epochs", "steps", "max_neighbors",
-                    "margin", "lr", "batch_size", "max_episodes", "eval_interval",
-                    "patience", "negatives_per_positive"]
+        positive = ["dim", "embedding_epochs", "embedding_batch_size", "steps",
+                    "max_neighbors", "margin", "lr", "lr_half_every", "batch_size",
+                    "max_episodes", "eval_interval", "patience", "negatives_per_positive"]
         for name in positive:
             if getattr(self, name) <= 0:
                 raise ConfigError("%s must be positive, got %r" % (name, getattr(self, name)))
@@ -91,15 +94,15 @@ class RunConfig:
         text = str(value).strip().strip("'\"")
         try:
             if isinstance(current, bool):
-                parsed = text.lower() in ("1", "true", "yes", "on")
+                parsed = _BOOLEANS[text.lower()]
             elif isinstance(current, int) or current is None:     # None: hidden left out
                 parsed = int(text)
             elif isinstance(current, float):
                 parsed = float(text)
             else:
                 parsed = text
-        except ValueError:
-            raise ConfigError("config option %s: cannot parse %r" % (key, value))
+        except (KeyError, ValueError):
+            raise ConfigError("config option %s: cannot parse %r" % (key, value)) from None
         setattr(self, key, parsed)
         return self
 

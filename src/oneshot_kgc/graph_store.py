@@ -101,14 +101,12 @@ def open_input(path):
             raise DataError("%s: not UTF-8 text: %s" % (path, exc)) from None
 
 
-def load_triples(path, vocab=None):
+def load_triples(path):
     """Parse a tab-separated head/relation/tail file into coded triples.
 
-    Returns (triples, vocab); ids are assigned in first-appearance order when
-    a fresh vocab is built, otherwise the given vocab is extended in place.
+    Returns (triples, vocab); ids are assigned in first-appearance order.
     """
-    if vocab is None:
-        vocab = Vocab()
+    vocab = Vocab()
     triples = []
     with open_input(path) as fh:
         for lineno, line in enumerate(fh, 1):

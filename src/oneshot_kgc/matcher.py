@@ -61,6 +61,7 @@ class Matcher:
         self.ent_emb = None
         self.rel_emb = None
         self.embeddings_trainable = True
+        self.table_provenance = {}
 
     # ------------------------------------------------------------------
     # embedding table
@@ -199,7 +200,7 @@ def save_matcher(path, matcher):
         "format_version": FORMAT_VERSION, "dim": matcher.dim,
         **{name: getattr(matcher, name) for name in SETTINGS},
         "embeddings_trainable": matcher.embeddings_trainable,
-        "table_provenance": getattr(matcher, "table_provenance", {}),
+        "table_provenance": matcher.table_provenance,
     }
     ad.save_checkpoint(path, arrays, metadata=meta)
 
@@ -211,11 +212,12 @@ def load_matcher(path):
         trainable = bool(meta["embeddings_trainable"])
     except (KeyError, TypeError, ValueError, ConfigError) as exc:
         raise DataError("checkpoint %s: bad metadata: %s" % (path, exc))
-    if "ent_emb" in arrays:
-        m.ent_emb = ad.Tensor(arrays["ent_emb"], requires_grad=trainable)
-        m.rel_emb = ad.Tensor(arrays["rel_emb"], requires_grad=trainable)
-        m.embeddings_trainable = trainable
-        m.table_provenance = meta.get("table_provenance", {})
+    if not {"ent_emb", "rel_emb"} <= arrays.keys():
+        raise DataError("checkpoint %s: no embedding table (ent_emb and rel_emb)" % path)
+    m.ent_emb = ad.Tensor(arrays["ent_emb"], requires_grad=trainable)
+    m.rel_emb = ad.Tensor(arrays["rel_emb"], requires_grad=trainable)
+    m.embeddings_trainable = trainable
+    m.table_provenance = meta.get("table_provenance", {})
     assign_arrays({name: t.data for name, t in m.named_parameters().items()}, arrays, path)
     return m
 

@@ -10,7 +10,9 @@ The episode stream is deterministic in (seed, step): task order per epoch and
 per-episode sampling both derive from the master seed and the step counter,
 so an interrupted run can resume from the last saved state with an identical
 subsequent loss trace. The state records the run config, and a resume under
-another config (``max_episodes`` aside) is refused.
+another config (``max_episodes`` aside) is refused. The patience count follows
+from the state's step and best step, so a resumed run stops where an
+uninterrupted one would.
 """
 
 from __future__ import annotations
@@ -113,10 +115,6 @@ def sample_episode(entry, batch_size, rng):
     return Episode(entry.relation, reference, positives, negatives)
 
 
-def _episode_rng(seed, step):
-    return substream(seed, "episode-%d" % step)
-
-
 def _epoch_order(seed, epoch, relations):
     order = list(relations)
     substream(seed, "epoch-order-%d" % epoch).shuffle(order)
@@ -127,51 +125,50 @@ def train(matcher, graph, train_tasks, valid_tasks, vocab, config,
           log_fn=None, checkpoint_path=None, resume=False):
     """Run meta-training; returns (best_hits10, best_step).
 
-    The matcher is left holding the best-validation parameters, or its
-    trained ones when no validation ran. When ``checkpoint_path`` is given,
-    that model and a resumable state blob are written there.
+    Training stops after ``max_episodes`` steps, or once ``patience``
+    validations in a row have not improved on the best. The matcher is left
+    holding the best-validation parameters, or its trained ones when no
+    validation ran. When ``checkpoint_path`` is given, that model and a
+    resumable state blob are written there.
     """
     pool = TaskPool(train_tasks)
     relations = pool.relations
-    params = matcher.parameters()
-    opt = ad.Adam(params, lr=config.lr,
+    if not relations:
+        raise DataError("no meta-train task relations to train on")
+    names = matcher.named_parameters()
+    opt = ad.Adam(matcher.parameters(), lr=config.lr,
                   schedule=ad.halving_schedule(config.lr_half_every))
-    step = 0
-    best_metric = -1.0
-    best_step = -1
-    evals_since_best = 0
+    step, best_metric, best_step = 0, -1.0, -1
+    best_arrays = None      # the parameters at best_step
     state_path = (checkpoint_path + ".state") if checkpoint_path else None
 
-    names = matcher.named_parameters()
     if resume and state_path and ad.checkpoint_exists(state_path):
         arrays, meta = ad.load_checkpoint(state_path, format_version=FORMAT_VERSION)
         _check_resumable(state_path, meta, config)
-        targets = {name: p.data for name, p in names.items()}
-        for i in range(len(params)):
-            targets["adam_m.%d" % i] = opt._m[i]
-            targets["adam_v.%d" % i] = opt._v[i]
-        assign_arrays(targets, arrays, state_path)
+        assign_arrays(_state_arrays(names, opt), arrays, state_path)
         step = int(meta["step"])
         opt.t = int(meta["opt_t"])
         best_metric = float(meta["best_metric"])
         best_step = int(meta["best_step"])
         log.info("resumed from step %d", step)
+        if best_step >= 0:
+            # the best parameters so far are those of the best checkpoint
+            best_arrays = {name: p.data.copy() for name, p in names.items()}
+            arrays, _ = ad.load_checkpoint(checkpoint_path, format_version=FORMAT_VERSION)
+            assign_arrays(best_arrays, arrays, checkpoint_path)
 
-    best_arrays = None      # the parameters at best_step
-    if best_step >= 0:
-        # resumed: the best parameters so far are those of the best checkpoint
-        best_arrays = {name: p.data.copy() for name, p in names.items()}
-        arrays, _ = ad.load_checkpoint(checkpoint_path, format_version=FORMAT_VERSION)
-        assign_arrays(best_arrays, arrays, checkpoint_path)
-    stop = False
-    while not stop:
-        epoch = step // len(relations)
-        for relation in _epoch_order(config.seed, epoch, relations)[step % len(relations):]:
-            rng = _episode_rng(config.seed, step)
-            episode = sample_episode(pool.get(relation), config.batch_size, rng)
-            step += 1
-            if episode is None:
-                continue
+    # validations run at the multiples of eval_interval, best_step among them,
+    # so the quotient counts those since the best (since the start before one)
+    order = None
+    while (step < config.max_episodes
+           and (step - max(best_step, 0)) // config.eval_interval < config.patience):
+        if order is None or step % len(relations) == 0:
+            order = _epoch_order(config.seed, step // len(relations), relations)
+        rng = substream(config.seed, "episode-%d" % step)
+        episode = sample_episode(pool.get(order[step % len(relations)]),
+                                 config.batch_size, rng)
+        step += 1
+        if episode is not None:
             stats = _episode_step(matcher, graph, episode, opt, config, rng)
             if not np.isfinite(stats["loss"]):
                 _dump_diagnostics(checkpoint_path, step, episode, stats["loss"])
@@ -181,34 +178,38 @@ def train(matcher, graph, train_tasks, valid_tasks, vocab, config,
                 log_fn({"step": step, "relation": vocab.id2rel[episode.relation],
                         "lr": opt.current_lr(), **stats})
 
-            if step % config.eval_interval == 0:
-                metrics = _validate(matcher, graph, valid_tasks, vocab)
-                if log_fn:
-                    log_fn({"step": step, **metrics})
-                if metrics["hits10"] > best_metric:
-                    best_metric = metrics["hits10"]
-                    best_step = step
-                    best_arrays = {name: p.data.copy() for name, p in names.items()}
-                    evals_since_best = 0
-                    if checkpoint_path:
-                        save_matcher(checkpoint_path, matcher)
-                else:
-                    evals_since_best += 1
-                if state_path:
-                    _save_state(state_path, names, opt, config, step, best_metric, best_step)
-                if evals_since_best >= config.patience:
-                    stop = True
-            if step >= config.max_episodes:
-                stop = True
-            if stop:
-                break
+        if step % config.eval_interval == 0:
+            metrics = _validate(matcher, graph, valid_tasks, vocab)
+            if log_fn:
+                log_fn({"step": step, **metrics})
+            if metrics["hits10"] > best_metric:
+                best_metric, best_step = metrics["hits10"], step
+                best_arrays = {name: p.data.copy() for name, p in names.items()}
+                if checkpoint_path:
+                    save_matcher(checkpoint_path, matcher)
+            if state_path:
+                ad.save_checkpoint(state_path, _state_arrays(names, opt),
+                                   metadata={"format_version": FORMAT_VERSION, "step": step,
+                                             "opt_t": opt.t, "best_metric": best_metric,
+                                             "best_step": best_step,
+                                             "config": _resumable_config(config)})
 
     if best_step >= 0:
+        # the best checkpoint was written when it was found
         for name, p in names.items():
             p.data[...] = best_arrays[name]
-    if checkpoint_path:
+    elif checkpoint_path:
         save_matcher(checkpoint_path, matcher)
     return best_metric, best_step
+
+
+def _state_arrays(names, opt):
+    """The arrays of a training state: the parameters, then Adam's moments."""
+    arrays = {name: p.data for name, p in names.items()}
+    for i in range(len(opt.params)):
+        arrays["adam_m.%d" % i] = opt._m[i]
+        arrays["adam_v.%d" % i] = opt._v[i]
+    return arrays
 
 
 def _episode_step(matcher, graph, episode, opt, config, rng):
@@ -257,18 +258,6 @@ def _check_resumable(state_path, meta, config):
         raise DataError("training state %s was saved under a different config: %s"
                         % (state_path, ", ".join("%s %r != %r" % (k, saved.get(k), current.get(k))
                                                  for k in differing)))
-
-
-def _save_state(state_path, names, opt, config, step, best_metric, best_step):
-    arrays = {name: p.data for name, p in names.items()}
-    for i in range(len(opt.params)):
-        arrays["adam_m.%d" % i] = opt._m[i]
-        arrays["adam_v.%d" % i] = opt._v[i]
-    ad.save_checkpoint(state_path, arrays,
-                       metadata={"format_version": FORMAT_VERSION, "step": step,
-                                 "opt_t": opt.t, "best_metric": best_metric,
-                                 "best_step": best_step,
-                                 "config": _resumable_config(config)})
 
 
 def _dump_diagnostics(checkpoint_path, step, episode, loss_value):

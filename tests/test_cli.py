@@ -5,9 +5,11 @@ import shutil
 
 import pytest
 
+from oneshot_kgc import autodiff as ad
 from oneshot_kgc.cli import main
 from oneshot_kgc.config import RunConfig
 from oneshot_kgc.embeddings import export_vectors, load_table, save_table
+from oneshot_kgc.errors import ConfigError
 
 
 def sha(path):
@@ -139,6 +141,35 @@ class TestConfigSurface:
     @pytest.mark.parametrize("dim", [1, 7, 16, 100])
     def test_hidden_left_out_is_valid_for_any_dim(self, dim):
         assert RunConfig().set_option("dim", str(dim)).validate().hidden == 2 * dim
+
+    @pytest.mark.parametrize("text, value", [("True", True), ("false", False), ("1", True),
+                                             ("0", False), ("YES", True), ("no", False),
+                                             ("On", True), ("off", False)])
+    def test_boolean_option_reads_its_spellings(self, text, value):
+        assert RunConfig().set_option("use_neighbor_encoder", text).use_neighbor_encoder is value
+
+    def test_run_config_round_trips(self, workdir, tmp_path):
+        cfg = RunConfig(dim=16, use_neighbor_encoder=False, train_embeddings=False).validate()
+        path = str(tmp_path / "run-config.txt")
+        cfg.to_file(path)
+        assert RunConfig.from_file(path) == cfg
+        written = os.path.join(workdir["run"], "run-config.txt")
+        RunConfig.from_file(written).to_file(path)
+        assert sha(path) == sha(written)
+
+    @pytest.mark.parametrize("key", ["embedding_batch_size", "lr_half_every"])
+    @pytest.mark.parametrize("value", ["0", "-4"])
+    def test_nonpositive_count_is_config_error(self, key, value):
+        with pytest.raises(ConfigError, match="%s must be positive, got %s" % (key, value)):
+            RunConfig().set_option(key, value).validate()
+
+    @pytest.mark.parametrize("text", ["ture", "2", "", "y"])
+    def test_unrecognised_boolean_is_config_error(self, workdir, tmp_path, capsys, text):
+        argv = train_argv(workdir, str(tmp_path / "run"), 5) + \
+            ["--set", "use_neighbor_encoder=" + text]
+        assert main(argv) == 1
+        assert "config option use_neighbor_encoder: cannot parse %r" % text \
+            in capsys.readouterr().err
 
     def test_dim_other_than_the_table_is_config_error(self, workdir, tmp_path, capsys):
         argv = train_argv(workdir, str(tmp_path / "run"), 5) + ["--set", "dim=24"]
@@ -306,6 +337,20 @@ class TestCheckpointValidation:
         assert main(train_argv(workdir, run, 45) + ["--resume"]) == 2
         assert "runs past the end" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("dropped", [["rel_emb"], ["ent_emb"], ["ent_emb", "rel_emb"]])
+    def test_checkpoint_without_a_whole_table_is_data_error(self, workdir, tmp_path, capsys,
+                                                            dropped):
+        checkpoint = os.path.join(copy_run(workdir, tmp_path), "matcher")
+        arrays, meta = ad.load_checkpoint(checkpoint)
+        for name in dropped:
+            del arrays[name]
+        ad.save_checkpoint(checkpoint, arrays, metadata=meta)
+        assert self.evaluate(workdir, checkpoint) == 2
+        err = capsys.readouterr().err
+        assert "data error: checkpoint %s: no embedding table (ent_emb and rel_emb)" \
+            % checkpoint in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("version", [1, None])
     def test_resume_from_old_state_is_data_error(self, workdir, tmp_path, capsys, version):
         run = copy_run(workdir, tmp_path)
@@ -328,6 +373,19 @@ class TestExitCodes:
 
     def test_evaluate_without_model_is_config_error(self, workdir):
         assert main(["evaluate", "--dataset", workdir["ds"]]) == 1
+
+    @pytest.mark.parametrize("shots", ["0", "-2"])
+    def test_evaluate_with_no_shots_is_config_error(self, workdir, capsys, shots):
+        assert main(["evaluate", "--dataset", workdir["ds"], "--checkpoint",
+                     os.path.join(workdir["run"], "matcher"), "--shots", shots]) == 1
+        assert "--shots must be at least 1, got %s" % shots in capsys.readouterr().err
+
+    @pytest.mark.parametrize("counts", ["6,2,x", "8,-1,3"])
+    def test_build_with_bad_counts_is_config_error(self, dump_path, tmp_path, capsys, counts):
+        assert main(["build-dataset", "--input", dump_path, "--out", str(tmp_path / "out"),
+                     "--counts", counts]) == 1
+        assert "--counts expects three comma-separated non-negative integers, got %r" \
+            % counts in capsys.readouterr().err
 
     def test_missing_dataset_directory_is_data_error(self, workdir, tmp_path, capsys):
         assert main(["evaluate", "--dataset", str(tmp_path / "nowhere"), "--checkpoint",

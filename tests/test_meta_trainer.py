@@ -241,6 +241,32 @@ class TestTraining:
         # first eval sets the best (0.0 > -1), then two non-improving evals
         assert max(steps) == 15
 
+    def test_no_train_tasks_is_data_error(self):
+        h = TrainHarness()
+        h.train_tasks = []
+        with pytest.raises(DataError, match="no meta-train task relations"):
+            h.run()
+
+    def test_validation_runs_when_the_episode_is_skipped(self, monkeypatch):
+        # sample_episode finds no episode at every fifth step, the steps that
+        # validate and the step that ends the run
+        h = TrainHarness()
+        sampled = []
+
+        def every_fifth_skipped(entry, batch_size, rng):
+            sampled.append(entry.relation)
+            assert len(sampled) <= 15, "training ran past max_episodes"
+            if len(sampled) % 5 == 0:
+                return None
+            return sample_episode(entry, batch_size, rng)
+
+        monkeypatch.setattr(meta_trainer, "sample_episode", every_fifth_skipped)
+        records = []
+        h.run(log_fn=records.append)
+        assert [r["step"] for r in records if "hits10" in r] == [5, 10, 15]
+        assert [r["step"] for r in records if "loss" in r] == \
+            [s for s in range(1, 16) if s % 5]
+
 
 def scripted_validation(*scores):
     values = iter(scores)
@@ -268,6 +294,30 @@ class TestResumeBest:
         assert sorted(got) == sorted(want)
         for name in want:
             assert np.array_equal(got[name], want[name]), name
+
+    def test_resume_restores_the_patience_count(self, tmp_path, monkeypatch):
+        # patience 2: the best is at step 5, and the validations at 10 and 15
+        # do not beat it, so training stops at 15. The interrupted run saves
+        # its state at step 10, one validation into the patience count.
+        h = TrainHarness()
+        cfg = small_config(seed=5, max_episodes=100, patience=2)
+        full, part = [], []
+        monkeypatch.setattr(meta_trainer, "_validate", scripted_validation(0.5, 0.1, 0.1))
+        assert h.run(log_fn=full.append, checkpoint_path=str(tmp_path / "full"),
+                     config=cfg) == (0.5, 5)
+        ckpt = str(tmp_path / "part")
+        monkeypatch.setattr(meta_trainer, "_validate", scripted_validation(0.5, 0.1))
+        h.run(log_fn=part.append, checkpoint_path=ckpt,
+              config=small_config(seed=5, max_episodes=10, patience=2))
+        monkeypatch.setattr(meta_trainer, "_validate", scripted_validation(0.1, 0.1, 0.1))
+        assert h.run(log_fn=part.append, checkpoint_path=ckpt, resume=True,
+                     config=cfg) == (0.5, 5)
+        assert part == full
+        assert full[-1]["step"] == 15
+        # a run stopped on patience resumes as a no-op
+        assert h.run(log_fn=part.append, checkpoint_path=ckpt, resume=True,
+                     config=cfg) == (0.5, 5)
+        assert part == full
 
     def test_resume_under_another_config_is_refused(self, tmp_path):
         h = TrainHarness()
