@@ -8,6 +8,7 @@ train-matcher, evaluate. Exit codes: 0 success, 1 usage/config error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -22,7 +23,7 @@ from .errors import ConfigError, DataError, NumericError
 from .evaluator import embedding_score_fn, evaluate_tasks, matcher_score_fn
 from .graph_store import build_neighbor_index, load_triples
 from .matcher import SETTINGS, Matcher, load_matcher
-from .meta_trainer import train
+from .meta_trainer import check_valid_split, train
 from .embeddings import (export_vectors, load_table, random_table, save_table,
                          train_embeddings)
 
@@ -49,9 +50,27 @@ def _resolve_config(args):
     return cfg.validate()
 
 
+@contextlib.contextmanager
+def _writing(path):
+    """An OSError raised while the body writes the output ``path`` is a
+    :class:`DataError` naming it."""
+    try:
+        yield
+    except OSError as exc:
+        raise DataError("cannot write %s: %s" % (path, exc.strerror or exc)) from None
+
+
+def _check_output_directory(path):
+    """Refuse, before any work, an output file whose directory does not exist."""
+    directory = os.path.dirname(path) or os.curdir
+    if not os.path.isdir(directory):
+        raise DataError("cannot write %s: no directory %s" % (path, directory))
+
+
 def cmd_generate_synthetic(args):
     rows = synthetic.generate(seed=args.seed)
-    synthetic.write_dump(args.out, rows)
+    with _writing(args.out):
+        synthetic.write_dump(args.out, rows)
     print("wrote %d triples to %s" % (len(rows), args.out))
 
 
@@ -69,10 +88,11 @@ def cmd_build_dataset(args):
             raise ConfigError("--counts expects three comma-separated non-negative "
                               "integers, got %r" % args.counts)
     explicit = _read_explicit_split(args.explicit_split) if args.explicit_split else None
-    manifest = build_dataset(args.out, triples, vocab, counts=counts,
-                             band=(args.band_lo, args.band_hi), seed=args.seed,
-                             candidate_floor=args.candidate_floor,
-                             explicit_split=explicit)
+    with _writing(args.out):
+        manifest = build_dataset(args.out, triples, vocab, counts=counts,
+                                 band=(args.band_lo, args.band_hi), seed=args.seed,
+                                 candidate_floor=args.candidate_floor,
+                                 explicit_split=explicit)
     print("dataset written to %s: %d/%d/%d task relations, %d background relations"
           % (args.out, len(manifest.meta_train), len(manifest.meta_valid),
              len(manifest.meta_test), len(manifest.background)))
@@ -107,12 +127,14 @@ def _baseline_triples(ds):
 
 def cmd_train_embeddings(args):
     cfg = _resolve_config(args)
+    _check_output_directory(args.out)
     ds = load_dataset(args.dataset)
     if args.model == "random":
         table = random_table(ds.vocab.n_entities, ds.vocab.n_relations,
                              cfg.dim, seed=cfg.seed)
         table.metadata["regime"] = args.regime
-        save_table(args.out, table)
+        with _writing(args.out):
+            save_table(args.out, table)
         print("random table written to %s" % args.out)
         return
     triples = ds.background if args.regime == "matcher" else _baseline_triples(ds)
@@ -123,7 +145,8 @@ def cmd_train_embeddings(args):
         margin=cfg.margin_embed, reg=cfg.l2_reg,
         batch_size=cfg.embedding_batch_size, seed=cfg.seed)
     table.metadata["regime"] = args.regime
-    save_table(args.out, table)
+    with _writing(args.out):
+        save_table(args.out, table)
     print("trained %s on %d triples (%d epochs, final mean loss %.4f) -> %s"
           % (args.model, len(triples), cfg.embedding_epochs, losses[-1], args.out))
 
@@ -131,6 +154,7 @@ def cmd_train_embeddings(args):
 def cmd_train_matcher(args):
     cfg = _resolve_config(args)
     ds = load_dataset(args.dataset)
+    check_valid_split(ds.tasks_for("valid"), cfg)
     table = load_table(args.table)
     if cfg.dim != table.dim:
         raise ConfigError("dim %d differs from the table's dimension %d" % (cfg.dim, table.dim))
@@ -139,8 +163,9 @@ def cmd_train_matcher(args):
     matcher = Matcher(table.dim, seed=cfg.seed, **{name: getattr(cfg, name) for name in SETTINGS})
     matcher.attach_table(export_vectors(table), trainable=cfg.train_embeddings)
     del table       # the matcher holds its own copy
-    os.makedirs(args.out, exist_ok=True)
-    cfg.to_file(os.path.join(args.out, "run-config.txt"))
+    with _writing(args.out):
+        os.makedirs(args.out, exist_ok=True)
+        cfg.to_file(os.path.join(args.out, "run-config.txt"))
     log_path = os.path.join(args.out, "training-log.jsonl")
     checkpoint = os.path.join(args.out, "matcher")
     kept = _log_up_to_resumed_step(log_path, checkpoint) if args.resume else []
@@ -203,6 +228,8 @@ def cmd_evaluate(args):
     cfg = _resolve_config(args)
     if args.shots < 1:
         raise ConfigError("--shots must be at least 1, got %d" % args.shots)
+    if args.out:
+        _check_output_directory(args.out)
     ds = load_dataset(args.dataset)
     tasks, refs = _kshot_tasks(ds, args.split, args.shots, cfg.seed)
     if args.checkpoint:
@@ -220,7 +247,7 @@ def cmd_evaluate(args):
 
     print(report.to_text())
     if args.out:
-        with open(args.out, "w") as fh:
+        with _writing(args.out), open(args.out, "w") as fh:
             fh.write(report.to_json())
         print("report written to %s" % args.out)
 

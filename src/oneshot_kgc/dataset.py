@@ -10,19 +10,18 @@ Layout of an emitted dataset directory:
 
 from __future__ import annotations
 
-import itertools
 import json
 import operator
 import os
 import re
-from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .graph_store import Triple, TypeIndex, Vocab, build_candidates, open_input, save_triples
+from .graph_store import (Triple, TypeIndex, Vocab, build_candidates, open_input, padding_pool,
+                          save_triples, split_triple_fields)
 
 
 @dataclass
@@ -61,16 +60,19 @@ class SplitManifest:
         return self
 
 
-def relation_counts(triples):
-    return Counter(t.relation for t in triples)
+def _coded(triples):
+    """``triples`` as an (N, 3) intp array of (head, relation, tail) ids; a
+    sequence of :class:`Triple` is accepted too."""
+    return np.asarray(triples, dtype=np.intp).reshape(-1, 3)
 
 
 def select_task_relations(triples, lo=50, hi=500):
     """Relations with strictly more than ``lo`` and strictly fewer than ``hi`` triples."""
     if lo >= hi:
         raise ConfigError("frequency band requires lo < hi")
-    counts = relation_counts(triples)
-    tasks = sorted(r for r, c in counts.items() if lo < c < hi)
+    counts = np.bincount(_coded(triples)[:, 1])
+    # a relation id with no triple here is no task, whatever the band
+    tasks = np.flatnonzero((counts > max(lo, 0)) & (counts < hi)).tolist()
     if not tasks:
         raise DataError("no relation has a triple count inside (%d, %d); adjust the band" % (lo, hi))
     return tasks
@@ -87,10 +89,9 @@ def detect_inverse_relations(triples, vocab):
     larger name of a flagged pair is dropped. The reversed pairs are found
     by one sorted join of (h, t) keys against (t, h) keys.
     """
-    if not triples:
+    head, rel, tail = _coded(triples).T
+    if not rel.size:
         return set()
-    head, rel, tail = np.fromiter(itertools.chain.from_iterable(triples), dtype=np.int64,
-                                  count=3 * len(triples)).reshape(-1, 3).T
     base = int(max(head.max(), tail.max())) + 1
     # distinct (relation, pair) rows, the pair (h, t) encoded as h * base + t;
     # the keys fit int64 while relations * base**2 < 2**63
@@ -134,7 +135,8 @@ def _task_json(payload):
     ``payload`` holds a relation name, a reference of three names and a list
     of queries, each a head, a truth and a list of candidate names. With an
     indent ``json`` takes its pure-Python encoder; this lays out the fixed
-    schema by hand and escapes each name with the C string encoder.
+    schema by hand and escapes each name with the C string encoder. Queries
+    that hold the same list object share one encoding of it.
     """
     enc = encode_basestring_ascii
 
@@ -144,9 +146,11 @@ def _task_json(payload):
         pad = "\n" + " " * (level + 1)
         return "[" + ",".join([pad + enc(name) for name in items]) + "\n" + " " * level + "]"
 
+    lists = {id(q["candidates"]): q["candidates"] for q in payload["queries"]}
+    encoded = {key: names(items, 3) for key, items in lists.items()}
     queries = [
         '\n  {\n   "candidates": %s,\n   "head": %s,\n   "truth": %s\n  }'
-        % (names(q["candidates"], 3), enc(q["head"]), enc(q["truth"]))
+        % (encoded[id(q["candidates"])], enc(q["head"]), enc(q["truth"]))
         for q in payload["queries"]]
     return ('{\n "queries": %s,\n "reference": %s,\n "relation": %s\n}'
             % ("[" + ",".join(queries) + "\n ]" if queries else "[]",
@@ -156,10 +160,14 @@ def _task_json(payload):
 def emit_dataset(out_dir, triples, vocab, manifest, candidate_floor=20):
     """Write background file, per-task files with candidate sets, and the manifest.
 
-    The one-shot reference of each task is fixed here, uniformly at random
-    under the manifest seed, so every model compares on identical evidence.
+    ``triples`` is an (N, 3) id array. The one-shot reference of each task is
+    fixed here, uniformly at random under the manifest seed, so every model
+    compares on identical evidence. Every query of a relation shares the
+    relation's typed candidate set (its truth is an observed tail, so the set
+    holds it); a set below ``candidate_floor`` gets its own padding per query.
     """
     manifest.validate()
+    triples = _coded(triples)
     os.makedirs(os.path.join(out_dir, "tasks"), exist_ok=True)
 
     with open(os.path.join(out_dir, "entities.txt"), "w", encoding="utf-8") as fh:
@@ -167,41 +175,43 @@ def emit_dataset(out_dir, triples, vocab, manifest, candidate_floor=20):
     with open(os.path.join(out_dir, "relations.txt"), "w", encoding="utf-8") as fh:
         fh.write("".join(name + "\n" for name in vocab.id2rel))
 
-    task_set = set(manifest.task_relations())
-    background = [t for t in triples if t.relation not in task_set]
-    by_relation = defaultdict(list)
-    for t in triples:
-        if t.relation in task_set:
-            by_relation[t.relation].append(t)
-
-    save_triples(os.path.join(out_dir, "background.txt"), background, vocab)
+    task_relations = sorted(manifest.task_relations())
+    is_task = np.isin(triples[:, 1], task_relations)
+    save_triples(os.path.join(out_dir, "background.txt"), triples[~is_task], vocab)
+    task_triples = triples[is_task]
 
     rng = np.random.default_rng(manifest.seed)
     index = TypeIndex(vocab)
-    for rel in sorted(task_set):
-        rel_triples = by_relation[rel]
-        if len(rel_triples) < 2:
-            raise DataError("task relation %s has fewer than 2 triples" % vocab.id2rel[rel])
-        observed_tails = {t.tail for t in rel_triples}
-        ref = rel_triples[int(rng.integers(len(rel_triples)))]
+    names = vocab.id2ent
+    for rel in task_relations:
+        rel_name = vocab.id2rel[rel]
+        heads, _, tails = task_triples[task_triples[:, 1] == rel].T
+        if heads.size < 2:
+            raise DataError("task relation %s has fewer than 2 triples" % rel_name)
+        ref = int(rng.integers(heads.size))
+        ref_head, ref_tail = int(heads[ref]), int(tails[ref])
+        is_query = (heads != ref_head) | (tails != ref_tail)
+        typed = np.array(build_candidates(ref_tail, tails, vocab, floor=0, index=index),
+                         dtype=np.intp)
+        pool, need = padding_pool(typed, vocab.n_entities, candidate_floor)
+        if is_query.any() and typed.size + need < 2:
+            raise DataError("task relation %s: candidate sets of fewer than 2 entries"
+                            % rel_name)
+        shared = None if need else [names[c] for c in typed.tolist()]
         cand_rng = np.random.default_rng(manifest.seed + rel)
         queries = []
-        for trip in rel_triples:
-            if trip == ref:
-                continue
-            cands = build_candidates(trip.tail, observed_tails, vocab,
-                                     floor=candidate_floor, rng=cand_rng, index=index)
-            queries.append({
-                "head": vocab.id2ent[trip.head],
-                "truth": vocab.id2ent[trip.tail],
-                "candidates": [vocab.id2ent[c] for c in cands],
-            })
+        for head, tail in zip(heads[is_query].tolist(), tails[is_query].tolist()):
+            candidates = shared
+            if candidates is None:
+                padded = np.union1d(typed, cand_rng.choice(pool, size=need, replace=False))
+                candidates = [names[c] for c in padded.tolist()]
+            queries.append({"head": names[head], "truth": names[tail], "candidates": candidates})
         payload = {
-            "relation": vocab.id2rel[rel],
-            "reference": [vocab.id2ent[ref.head], vocab.id2rel[rel], vocab.id2ent[ref.tail]],
+            "relation": rel_name,
+            "reference": [names[ref_head], rel_name, names[ref_tail]],
             "queries": queries,
         }
-        path = os.path.join(out_dir, "tasks", _task_filename(vocab.id2rel[rel]))
+        path = os.path.join(out_dir, "tasks", _task_filename(rel_name))
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(_task_json(payload))
 
@@ -220,11 +230,14 @@ def build_dataset(out_dir, triples, vocab, counts=None, band=(50, 500), seed=0,
                   candidate_floor=20, explicit_split=None):
     """Full pipeline: inverse removal, band selection, split, emit.
 
-    ``explicit_split`` optionally gives three lists of relation names instead
-    of a seeded random partition. Returns the manifest (integer relation ids).
+    ``triples`` is an (N, 3) id array, as :func:`~oneshot_kgc.graph_store.load_triples`
+    returns it. ``explicit_split`` optionally gives three lists of relation
+    names instead of a seeded random partition. Returns the manifest (integer
+    relation ids).
     """
+    triples = _coded(triples)
     drop = detect_inverse_relations(triples, vocab)
-    kept = [t for t in triples if t.relation not in drop]
+    kept = triples[~np.isin(triples[:, 1], sorted(drop))]
     tasks = select_task_relations(kept, lo=band[0], hi=band[1])
     if explicit_split is not None:
         name_lists = explicit_split
@@ -247,7 +260,7 @@ def build_dataset(out_dir, triples, vocab, counts=None, band=(50, 500), seed=0,
             counts = (n - n_valid - n_test, n_valid, n_test)
         train, valid, test = partition_tasks(tasks, counts, seed=seed)
     task_set = set(train) | set(valid) | set(test)
-    background = sorted(set(t.relation for t in kept) - task_set)
+    background = sorted(set(np.unique(kept[:, 1]).tolist()) - task_set)
     manifest = SplitManifest(train, valid, test, background, seed)
     emit_dataset(out_dir, kept, vocab, manifest, candidate_floor=candidate_floor)
     return manifest
@@ -293,42 +306,27 @@ def _read_names(path):
 def _read_background(path, vocab):
     """The triples of ``background.txt`` as an (N, 3) intp array of ids.
 
-    One pass splits the whole text and maps each column through the
-    vocabulary. A file that pass does not take whole (a line without exactly
-    two tabs, no final newline, an unknown name, bytes that are not UTF-8)
-    is read again line by line, which accepts what the line loop accepts and
-    names the file and line of the first fault.
+    :func:`~oneshot_kgc.graph_store.split_triple_fields` splits the text a
+    chunk of lines at a time, and each column is mapped through the
+    vocabulary. A file that split does not take whole (a line without exactly
+    two tabs, a carriage return, no final newline, an unknown name, bytes that
+    are not UTF-8) is read again line by line, which accepts what the line
+    loop accepts and names the file and line of the first fault.
     """
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except OSError as exc:
-        raise DataError("cannot read %s: %s" % (path, exc.strerror)) from None
-    # the tab and newline bytes (and any control byte below them) must run
-    # tab, tab, newline: every line holds three fields and ends in a newline
-    buf = np.frombuffer(data, dtype=np.uint8)
-    separators = buf[buf <= 10]
-    del buf
-    if (separators.size % 3 or not (separators.reshape(-1, 3) == (9, 9, 10)).all()
-            or data and not data.endswith(b"\n")):
+    chunks = split_triple_fields(path)
+    if chunks is None:
         return _read_background_lines(path, vocab)
+    blocks = []
     try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError:
-        return _read_background_lines(path, vocab)
-    del data
-    text = text.replace("\n", "\t")
-    fields = text.split("\t")
-    del text
-    fields.pop()            # the empty text after the final newline
-    coded = np.empty((len(fields) // 3, 3), dtype=np.intp)
-    try:
-        for column, ids in enumerate((vocab.ent2id, vocab.rel2id, vocab.ent2id)):
-            if coded.size:      # one name gives one id, not a tuple; it broadcasts
-                coded[:, column] = operator.itemgetter(*fields[column::3])(ids)
+        for fields in chunks:
+            block = np.empty((len(fields) // 3, 3), dtype=np.intp)
+            for column, ids in enumerate((vocab.ent2id, vocab.rel2id, vocab.ent2id)):
+                # one name gives one id, not a tuple; it broadcasts
+                block[:, column] = operator.itemgetter(*fields[column::3])(ids)
+            blocks.append(block)
     except KeyError:
         return _read_background_lines(path, vocab)
-    return coded
+    return np.concatenate(blocks) if blocks else np.empty((0, 3), dtype=np.intp)
 
 
 def _read_background_lines(path, vocab):

@@ -121,6 +121,14 @@ def _epoch_order(seed, epoch, relations):
     return order
 
 
+def check_valid_split(valid_tasks, config):
+    """Refuse a run that would validate on a meta-valid split without queries."""
+    if config.eval_interval <= config.max_episodes and not any(t.queries for t in valid_tasks):
+        raise DataError("the meta-valid split holds no queries, but a validation runs every %d "
+                        "episodes; build the dataset with meta-valid relations, or set "
+                        "eval_interval above max_episodes" % config.eval_interval)
+
+
 def train(matcher, graph, train_tasks, valid_tasks, vocab, config,
           log_fn=None, checkpoint_path=None, resume=False):
     """Run meta-training; returns (best_hits10, best_step).
@@ -135,6 +143,7 @@ def train(matcher, graph, train_tasks, valid_tasks, vocab, config,
     relations = pool.relations
     if not relations:
         raise DataError("no meta-train task relations to train on")
+    check_valid_split(valid_tasks, config)
     names = matcher.named_parameters()
     opt = ad.Adam(matcher.parameters(), lr=config.lr,
                   schedule=ad.halving_schedule(config.lr_half_every))

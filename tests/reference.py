@@ -11,6 +11,12 @@ builder's functions as they were before the type index and the sorted join:
 one scan over every entity per query, and one set intersection per pair of
 relations. The tests check that the program returns exactly what they do.
 
+``load_triples`` and ``build_dataset`` are the dump parser and the dataset
+builder as they were before the columnar build: one line at a time into a
+list of :class:`Triple`, then one candidate set and one JSON encoding per
+query. The program must assign the same ids, raise the same errors and write
+the same bytes.
+
 ``load_dataset`` is the dataset loader as it was before the columnar
 background: one ``add_entity`` call per vocabulary line and one
 :class:`Triple` per background line. The program must load the same ids,
@@ -26,14 +32,14 @@ tests compare the two within a tolerance fixed from float64 rounding.
 
 import json
 import os
-from collections import defaultdict
+from collections import Counter, defaultdict
 
 import numpy as np
 
 from oneshot_kgc import autodiff as ad
 from oneshot_kgc.dataset import (INVERSE_THRESHOLD, Dataset, SplitManifest, TaskSet,
-                                 _task_filename)
-from oneshot_kgc.errors import DataError
+                                 _task_filename, partition_tasks)
+from oneshot_kgc.errors import DataError, ParseError
 from oneshot_kgc.graph_store import BackgroundGraph, Triple, Vocab, open_input
 from oneshot_kgc.meta_trainer import Episode
 
@@ -129,6 +135,81 @@ def detect_inverse_relations(triples, vocab):
             if overlap / len(pairs[r1]) >= INVERSE_THRESHOLD:
                 drop.add(max(r1, r2, key=lambda r: vocab.id2rel[r]))
     return drop
+
+
+def load_triples(path):
+    """(list of :class:`Triple`, vocab) of a tab-separated dump, ids in
+    first-appearance order; blank lines are skipped."""
+    vocab = Vocab()
+    triples = []
+    with open_input(path) as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            parts = line.split("\t")
+            if len(parts) != 3:
+                raise ParseError("%s: line %d: expected 3 tab-separated fields, got %d"
+                                 % (path, lineno, len(parts)))
+            h, r, t = parts
+            triples.append(Triple(vocab.add_entity(h), vocab.add_relation(r), vocab.add_entity(t)))
+    if not triples:
+        raise ParseError("%s: no triples found" % path)
+    return triples, vocab
+
+
+def build_dataset(out_dir, triples, vocab, counts, band=(50, 500), seed=0, candidate_floor=20):
+    """Inverse removal, band selection, a seeded split and the emitted files,
+    with one :func:`build_candidates` call and one ``json.dumps`` per query."""
+    drop = detect_inverse_relations(triples, vocab)
+    kept = [t for t in triples if t.relation not in drop]
+    relation_counts = Counter(t.relation for t in kept)
+    tasks = sorted(r for r, c in relation_counts.items() if band[0] < c < band[1])
+    train, valid, test = partition_tasks(tasks, counts, seed=seed)
+    task_set = set(tasks)
+    manifest = SplitManifest(train, valid, test, sorted(set(relation_counts) - task_set), seed)
+
+    os.makedirs(os.path.join(out_dir, "tasks"), exist_ok=True)
+    with open(os.path.join(out_dir, "entities.txt"), "w", encoding="utf-8") as fh:
+        fh.writelines(name + "\n" for name in vocab.id2ent)
+    with open(os.path.join(out_dir, "relations.txt"), "w", encoding="utf-8") as fh:
+        fh.writelines(name + "\n" for name in vocab.id2rel)
+    with open(os.path.join(out_dir, "background.txt"), "w", encoding="utf-8") as fh:
+        for h, r, t in kept:
+            if r not in task_set:
+                fh.write("%s\t%s\t%s\n" % (vocab.id2ent[h], vocab.id2rel[r], vocab.id2ent[t]))
+
+    by_relation = defaultdict(list)
+    for t in kept:
+        if t.relation in task_set:
+            by_relation[t.relation].append(t)
+    rng = np.random.default_rng(seed)
+    for rel in sorted(task_set):
+        rel_triples = by_relation[rel]
+        observed_tails = {t.tail for t in rel_triples}
+        ref = rel_triples[int(rng.integers(len(rel_triples)))]
+        cand_rng = np.random.default_rng(seed + rel)
+        queries = []
+        for trip in rel_triples:
+            if trip == ref:
+                continue
+            cands = build_candidates(trip.tail, observed_tails, vocab, candidate_floor, cand_rng)
+            queries.append({"head": vocab.id2ent[trip.head], "truth": vocab.id2ent[trip.tail],
+                            "candidates": [vocab.id2ent[c] for c in cands]})
+        payload = {"relation": vocab.id2rel[rel],
+                   "reference": [vocab.id2ent[ref.head], vocab.id2rel[rel],
+                                 vocab.id2ent[ref.tail]],
+                   "queries": queries}
+        with open(os.path.join(out_dir, "tasks", _task_filename(vocab.id2rel[rel])), "w",
+                  encoding="utf-8") as fh:
+            json.dump(payload, fh, indent=1, sort_keys=True)
+
+    with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
+        json.dump({"meta_train": [vocab.id2rel[r] for r in train],
+                   "meta_valid": [vocab.id2rel[r] for r in valid],
+                   "meta_test": [vocab.id2rel[r] for r in test],
+                   "background": [vocab.id2rel[r] for r in manifest.background],
+                   "seed": seed}, fh, indent=1, sort_keys=True)
 
 
 def load_dataset(dataset_dir):

@@ -318,8 +318,8 @@ class TestC6DatasetInvariants:
         band_lo, band_hi = 50, 500
 
         counts = {}
-        for t in raw:
-            counts[t.relation] = counts.get(t.relation, 0) + 1
+        for rel in raw[:, 1].tolist():
+            counts[rel] = counts.get(rel, 0) + 1
         for rel in ds.manifest.task_relations():
             assert band_lo < counts[rel] < band_hi
         for rel in ds.manifest.background:

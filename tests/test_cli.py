@@ -522,3 +522,70 @@ class TestBadBuildInputs:
             split.write_text(content)
         assert self.build(dump_path, tmp_path, "--explicit-split", str(split)) == 2
         assert str(split) in capsys.readouterr().err
+
+
+class TestUnwritableOutput:
+    """An --out that cannot be written is a data error naming it, never a traceback."""
+
+    @staticmethod
+    def under_a_file(tmp_path):
+        (tmp_path / "file").write_text("")
+        return str(tmp_path / "file" / "out")
+
+    def test_generate_synthetic(self, tmp_path, capsys):
+        out = str(tmp_path / "missing" / "x.tsv")
+        assert main(["generate-synthetic", "--out", out]) == 2
+        assert "cannot write %s" % out in capsys.readouterr().err
+
+    def test_build_dataset(self, dump_path, tmp_path, capsys):
+        out = self.under_a_file(tmp_path)
+        assert main(["build-dataset", "--input", dump_path, "--out", out,
+                     "--counts", "6,2,2"]) == 2
+        assert "cannot write %s" % out in capsys.readouterr().err
+
+    def test_train_embeddings(self, workdir, tmp_path, capsys):
+        out = str(tmp_path / "missing" / "t")
+        assert main(["train-embeddings", "--dataset", workdir["ds"], "--model", "TransE",
+                     "--out", out, "--set", "dim=16"]) == 2
+        assert "cannot write %s" % out in capsys.readouterr().err
+
+    def test_train_matcher(self, workdir, tmp_path, capsys):
+        out = self.under_a_file(tmp_path)
+        assert main(train_argv(workdir, out, 5)) == 2
+        assert "cannot write %s" % out in capsys.readouterr().err
+
+    def test_evaluate_fails_before_scoring(self, workdir, tmp_path, capsys):
+        out = str(tmp_path / "missing" / "r.json")
+        assert main(["evaluate", "--dataset", workdir["ds"], "--checkpoint",
+                     os.path.join(workdir["run"], "matcher"), "--out", out]) == 2
+        captured = capsys.readouterr()
+        assert "cannot write %s" % out in captured.err
+        assert "overall" not in captured.out
+
+
+class TestEmptyValidSplit:
+    @pytest.fixture(scope="class")
+    def no_valid(self, dump_path, workdir, tmp_path_factory):
+        ds = str(tmp_path_factory.mktemp("no-valid") / "ds")
+        assert main(["build-dataset", "--input", dump_path, "--out", ds,
+                     "--counts", "10,0,0", "--seed", "3"]) == 0
+        return ds
+
+    def argv(self, ds, workdir, out, episodes):
+        return ["train-matcher", "--dataset", ds, "--table", workdir["table"], "--out", out,
+                "--set", "dim=16", "--set", "batch_size=8", "--set", "eval_interval=50",
+                "--set", "max_episodes=%d" % episodes]
+
+    def test_run_that_would_validate_fails_before_training(self, no_valid, workdir,
+                                                          tmp_path, capsys):
+        out = str(tmp_path / "run")
+        assert main(self.argv(no_valid, workdir, out, 50)) == 2
+        assert "meta-valid split holds no queries" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    def test_run_that_never_validates_trains(self, no_valid, workdir, tmp_path, capsys):
+        out = str(tmp_path / "run")
+        assert main(self.argv(no_valid, workdir, out, 10)) == 0
+        capsys.readouterr()
+        with open(os.path.join(out, "training-log.jsonl")) as fh:
+            assert [json.loads(line)["step"] for line in fh] == list(range(1, 11))

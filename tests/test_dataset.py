@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import reference
-from oneshot_kgc import dataset, synthetic
+from oneshot_kgc import dataset, graph_store, synthetic
 from oneshot_kgc.dataset import (INVERSE_THRESHOLD, build_dataset,
                                  detect_inverse_relations, load_dataset,
                                  partition_tasks, select_task_relations)
@@ -44,6 +44,12 @@ class TestBandSelection:
     def test_bad_band_errors(self):
         with pytest.raises(ConfigError):
             select_task_relations(make_triples({0: 60}), 500, 50)
+
+    def test_relation_without_triples_is_no_task(self):
+        # relation 1 has no triple (its inverse was dropped, say); a band
+        # that admits a count of 0 still selects only relations that occur
+        triples = make_triples({0: 3, 2: 4})
+        assert select_task_relations(triples, -1, 10) == [0, 2]
 
 
 class TestPartition:
@@ -154,10 +160,6 @@ class TestInverseJoinMatchesPairwiseSets:
         assert detect_inverse_relations([], Vocab()) == set()
 
 
-def old_build_candidates(truth, observed_tails, vocab, floor=20, rng=None, index=None):
-    return reference.build_candidates(truth, observed_tails, vocab, floor, rng)
-
-
 def dir_hashes(root):
     hashes = {}
     for base, _, files in os.walk(root):
@@ -201,35 +203,60 @@ class TestEmittedDataset:
         build_dataset(out2, triples2, vocab2, counts=(6, 2, 2), seed=3)
         assert dir_hashes(out1) == dir_hashes(out2)
 
-    @pytest.mark.parametrize("floor, unique_types", [(20, False), (30, True)])
+    def build_both(self, tmp_path, dump_path, floor=20, sidecar=None):
+        """Hashes of the directories the program and the reference builder
+        write from ``dump_path``, with an optional type sidecar."""
+        out = {}
+        for name, load, build in (("old", reference.load_triples, reference.build_dataset),
+                                  ("new", load_triples, build_dataset)):
+            triples, vocab = load(dump_path)
+            if sidecar is not None:
+                vocab.apply_type_sidecar(str(sidecar))
+            out[name] = str(tmp_path / name)
+            build(out[name], triples, vocab, counts=(6, 2, 2), seed=3, candidate_floor=floor)
+        assert dir_hashes(out["old"]) == dir_hashes(out["new"])
+        assert len(dir_hashes(out["new"])) == 14
+        return load_dataset(out["new"])
+
+    @pytest.mark.parametrize("floor, unique_types", [(20, False), (30, True), (1000, False)])
     def test_same_bytes_as_entity_scan_and_pairwise_sets(self, tmp_path, dump_path,
-                                                         monkeypatch, floor, unique_types):
+                                                         floor, unique_types):
         # with one type per entity a query's typed candidates are its
-        # relation's distinct tails, fewer than 30 here, so every query is padded
+        # relation's distinct tails, fewer than 30 here; and no typed set
+        # reaches 1000: either way every query draws its own padding
         sidecar = None
         if unique_types:
             _, vocab = load_triples(dump_path)
             sidecar = tmp_path / "types.tsv"
             sidecar.write_text("".join("%s\tu%d\n" % (name, i)
                                        for i, name in enumerate(vocab.id2ent)))
-        out = {}
-        for name in ("old", "new"):
-            if name == "old":
-                monkeypatch.setattr(dataset, "build_candidates", old_build_candidates)
-                monkeypatch.setattr(dataset, "detect_inverse_relations",
-                                    reference.detect_inverse_relations)
-            triples, vocab = load_triples(dump_path)
-            if sidecar is not None:
-                vocab.apply_type_sidecar(str(sidecar))
-            out[name] = str(tmp_path / name)
-            build_dataset(out[name], triples, vocab, counts=(6, 2, 2), seed=3,
-                          candidate_floor=floor)
-            monkeypatch.undo()
-        assert dir_hashes(out["old"]) == dir_hashes(out["new"])
-        assert len(dir_hashes(out["new"])) == 14
-        if unique_types:
-            assert {len(cands) for task in load_dataset(out["new"]).tasks.values()
-                    for _, _, cands in task.queries} == {30}
+        ds = self.build_both(tmp_path, dump_path, floor, sidecar)
+        sizes = {len(cands) for task in ds.tasks.values() for _, _, cands in task.queries}
+        if floor > 20:
+            assert sizes == {floor}
+            padded = [task.queries for task in ds.tasks.values()]
+            assert any(len({tuple(c) for _, _, c in queries}) > 1 for queries in padded)
+
+    def test_same_bytes_as_reference_with_a_random_type_sidecar(self, tmp_path, dump_path):
+        _, vocab = load_triples(dump_path)
+        rng = np.random.default_rng(25)
+        picked = rng.choice(vocab.n_entities, size=vocab.n_entities // 4, replace=False)
+        sidecar = tmp_path / "types.tsv"
+        sidecar.write_text("".join("%s\tside%d\n" % (vocab.id2ent[e], rng.integers(4))
+                                   for e in picked.tolist()))
+        self.build_both(tmp_path, dump_path, sidecar=sidecar)
+
+    def test_same_bytes_as_reference_from_an_unclean_dump(self, tmp_path, dump_path):
+        # CRLF line ends, blank lines, repeated triples and non-ASCII names
+        # take the line loop; the build from its ids is the same
+        with open(dump_path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        lines = [line.replace("concept:", "κόσμος:") if i % 3 else line
+                 for i, line in enumerate(lines)]
+        dump = tmp_path / "unclean.tsv"
+        dump.write_bytes("\r\n".join(lines[:500] + [""] + lines[::7] + lines[500:])
+                         .encode("utf-8"))
+        self.build_both(tmp_path, str(dump))
 
     def test_task_file_schema(self, dataset_dir, ds):
         name = ds.vocab.id2rel[ds.manifest.meta_test[0]]
@@ -299,6 +326,10 @@ class TestColumnarLoad:
         monkeypatch.setattr(dataset, "_read_background_lines", refuse)
         ds = assert_loads_as_line_loader(dataset_dir)
         assert len(ds.background) > 0
+        # the text split a chunk of lines at a time, one line per chunk at the least
+        for chunk in (1000, 1):
+            monkeypatch.setattr(graph_store, "CHUNK_CHARS", chunk)
+            assert_loads_as_line_loader(dataset_dir)
 
     @pytest.mark.parametrize("rename", [
         lambda name: "κόσμος:" + name + ":日本é",

@@ -3,6 +3,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from oneshot_kgc import graph_store
 from oneshot_kgc.errors import DataError, ParseError
 from oneshot_kgc.graph_store import (BackgroundGraph, Triple, TypeIndex, Vocab,
                                      build_candidates, build_neighbor_index,
@@ -41,6 +42,84 @@ class TestLoadTriples:
         path = write(tmp_path, [])
         with pytest.raises(ParseError, match="no triples"):
             load_triples(path)
+
+
+DUMP_LINES = ["concept:a:x\tr\tconcept:b:y", "concept:b:y\ts\tconcept:a:x",
+              "κόσμος:日本:é\tr\tplain", "concept:a:x\tr\tconcept:b:y", "\tr\t",
+              "concept:c:z\ts\tconcept:a:x"]
+
+
+class TestLoadTriplesMatchesLineLoop:
+    """The one-split parse assigns the ids the line loop assigns, and a file
+    it does not take whole raises what the line loop raises."""
+
+    @staticmethod
+    def assert_loads_as_line_loop(path):
+        triples, vocab = load_triples(path)
+        old_triples, old_vocab = reference.load_triples(path)
+        assert vocab.id2ent == old_vocab.id2ent and vocab.ent2id == old_vocab.ent2id
+        assert vocab.id2rel == old_vocab.id2rel and vocab.rel2id == old_vocab.rel2id
+        assert triples.dtype == np.intp and triples.shape == (len(old_triples), 3)
+        assert triples.tolist() == [list(t) for t in old_triples]
+
+    def assert_one_split_loads_as_line_loop(self, path, monkeypatch, chunk):
+        def refuse(path):
+            raise AssertionError("fell back to the line loop")
+        monkeypatch.setattr(graph_store, "_load_triple_lines", refuse)
+        monkeypatch.setattr(graph_store, "CHUNK_CHARS", chunk)
+        self.assert_loads_as_line_loop(path)
+
+    @pytest.mark.parametrize("chunk", [1 << 20, 1000, 1])
+    def test_synthetic_dump_on_the_one_split_path(self, dump_path, monkeypatch, chunk):
+        # one chunk, many chunks, and one line per chunk
+        self.assert_one_split_loads_as_line_loop(dump_path, monkeypatch, chunk)
+
+    @pytest.mark.parametrize("text, one_split", [
+        ("\n".join(DUMP_LINES) + "\n", True),
+        ("\n".join(DUMP_LINES * 3) + "\n", True),
+        (DUMP_LINES[2] + "\n", True),
+        (DUMP_LINES[2], False),
+        ("\n".join(DUMP_LINES), False),
+        ("\r\n".join(DUMP_LINES) + "\r\n", False),
+        ("\n\n".join(DUMP_LINES) + "\n\n", False),
+        ("\n".join(DUMP_LINES[:3] + ["a\tr\tb\rc\tr\td"]) + "\n", False),
+        ("\n".join(DUMP_LINES[:3] + ["nul\x00\tr\x0b\tff\x0c"]) + "\n", False),
+    ], ids=["clean", "repeated", "one-line", "one-line-no-newline", "no-final-newline",
+            "crlf", "blank-lines", "lone-cr", "control-bytes"])
+    def test_dump(self, tmp_path, monkeypatch, text, one_split):
+        path = tmp_path / "dump.tsv"
+        path.write_bytes(text.encode("utf-8"))
+        if one_split:
+            self.assert_one_split_loads_as_line_loop(str(path), monkeypatch, 30)
+        else:
+            self.assert_loads_as_line_loop(str(path))
+
+    @pytest.mark.parametrize("text", [
+        "a\tr\tb\n\na\tr\n",
+        "a\tr\tb\r\n\r\na\tr\tb\tc\r\n",
+        "a\tr\tb\nc\td",
+        "\n\n",
+        "",
+    ], ids=["short-line-after-blank", "long-line-crlf", "short-last-line", "blank-only",
+            "empty"])
+    def test_fault_raises_what_the_line_loop_raises(self, tmp_path, text):
+        path = tmp_path / "dump.tsv"
+        path.write_bytes(text.encode("utf-8"))
+        with pytest.raises(ParseError) as want:
+            reference.load_triples(str(path))
+        with pytest.raises(ParseError) as got:
+            load_triples(str(path))
+        assert str(got.value) == str(want.value)
+
+    def test_bytes_that_are_not_utf8(self, tmp_path):
+        path = tmp_path / "dump.tsv"
+        path.write_bytes(b"a\tr\tb\nc\tr\t\xff\n")
+        with pytest.raises(DataError) as want:
+            reference.load_triples(str(path))
+        with pytest.raises(DataError) as got:
+            load_triples(str(path))
+        assert str(got.value) == str(want.value)
+        assert "not UTF-8" in str(got.value)
 
 
 class TestTypeTags:

@@ -247,6 +247,20 @@ class TestTraining:
         with pytest.raises(DataError, match="no meta-train task relations"):
             h.run()
 
+    @pytest.mark.parametrize("valid_tasks", [[], [TaskSet(3, Triple(0, 3, 1), [])]],
+                             ids=["no-relations", "no-queries"])
+    def test_empty_valid_split_is_refused_before_the_first_episode(self, tmp_path,
+                                                                    valid_tasks):
+        h = TrainHarness()
+        h.valid_tasks = valid_tasks
+        records = []
+        with pytest.raises(DataError, match="meta-valid split holds no queries"):
+            h.run(log_fn=records.append, checkpoint_path=str(tmp_path / "matcher"))
+        assert records == [] and list(tmp_path.iterdir()) == []
+        # a run that never validates needs no meta-valid queries
+        h.run(log_fn=records.append, config=small_config(eval_interval=20))
+        assert [r["step"] for r in records] == list(range(1, 16))
+
     def test_validation_runs_when_the_episode_is_skipped(self, monkeypatch):
         # sample_episode finds no episode at every fifth step, the steps that
         # validate and the step that ends the run
