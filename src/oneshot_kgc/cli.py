@@ -243,7 +243,8 @@ def cmd_evaluate(args):
     else:
         raise ConfigError("evaluate requires --checkpoint or --table")
 
-    report = evaluate_tasks(tasks, score_fn, ds.vocab, filter_known=args.filter_known)
+    report = evaluate_tasks(tasks, score_fn, ds.vocab, filter_known=args.filter_known,
+                            known_tasks=ds.tasks_for(args.split))
 
     print(report.to_text())
     if args.out:

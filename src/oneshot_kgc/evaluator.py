@@ -114,7 +114,7 @@ def aggregate_kshot(score_vectors):
     return fused
 
 
-def evaluate_tasks(tasks, score_fn, vocab, filter_known=False):
+def evaluate_tasks(tasks, score_fn, vocab, filter_known=False, known_tasks=None):
     """Rank every query of every task with ``score_fn`` and build a report.
 
     ``score_fn(task, queries) -> list of score arrays`` is called once per
@@ -122,13 +122,16 @@ def evaluate_tasks(tasks, score_fn, vocab, filter_known=False):
     vector per query, one score per candidate (k-shot fusion happens inside
     the score function). With ``filter_known``, candidates that are true tails
     of the same (head, relation) in the task's triple set, other than the
-    query's own truth, are removed before scoring.
+    query's own truth, are removed before scoring. ``known_tasks``, parallel
+    to ``tasks``, gives the whole tasks whose triples are known when ``tasks``
+    hold only part of their queries (k-shot evaluation promotes some queries
+    to references); by default each task is its own.
     """
     report = RankingReport()
-    for task in tasks:
+    for task, whole in zip(tasks, known_tasks or tasks):
         known = {}
         if filter_known:
-            for h, r, t in task.all_triples():
+            for h, r, t in whole.all_triples():
                 known.setdefault(h, set()).add(t)
         queries = []
         for head, truth, candidates in task.queries:
@@ -163,8 +166,12 @@ def matcher_score_fn(matcher, graph, references_by_task=None):
     reference is used. Each task's distinct entities (query heads, candidates
     and references) are encoded in one call, in ascending id order, so the
     scores do not depend on candidate order, and are projected once into
-    their gate inputs as a query head and as a query tail; each query is then
-    matched against each reference and the per-reference scores are fused.
+    their gate inputs as a query head and as a query tail. A score depends
+    only on the (head, candidate, reference) triple, so each distinct
+    (head, candidate) pair of the task is matched once per reference: the
+    queries sharing a head are scored together over the ascending union of
+    their candidates, the per-reference scores are fused, and each query
+    takes the fused scores of its own candidates.
     """
     def score_fn(task, queries):
         refs = (references_by_task or {}).get(
@@ -172,6 +179,9 @@ def matcher_score_fn(matcher, graph, references_by_task=None):
         ids = np.unique(np.concatenate(
             [np.ravel(refs), [h for h, _ in queries]] + [c for _, c in queries]
         ).astype(np.intp))
+        by_head = {}
+        for q, (head, _) in enumerate(queries):
+            by_head.setdefault(head, []).append(q)
         with ad.no_grad():
             enc = matcher.encode_entities(ids, graph).data
             head_gates, tail_gates = matcher.entity_gates(enc)
@@ -181,14 +191,17 @@ def matcher_score_fn(matcher, graph, references_by_task=None):
 
             supports = [ad.Tensor(np.concatenate([enc[rows(h)], enc[rows(t)]]))
                         for h, t in refs]
-            out = []
-            for head, cands in queries:
-                hi, ci = rows(head), rows(cands)
+            out = [None] * len(queries)
+            for head, members in by_head.items():
+                query_rows = [rows(queries[q][1]) for q in members]
+                hi, ci = rows(head), np.unique(np.concatenate(query_rows))
                 tails = enc[ci]
                 pairs = ad.Tensor(np.hstack([np.broadcast_to(enc[hi], tails.shape), tails]))
                 gates = ad.Tensor(head_gates[hi] + tail_gates[ci])
-                out.append(aggregate_kshot([matcher.match_scores(s, pairs, gates)[0].data
-                                            for s in supports]))
+                fused = aggregate_kshot([matcher.match_scores(s, pairs, gates)[0].data
+                                         for s in supports])
+                for q, qr in zip(members, query_rows):
+                    out[q] = fused[np.searchsorted(ci, qr)]
         return out
     return score_fn
 

@@ -40,6 +40,7 @@ from oneshot_kgc import autodiff as ad
 from oneshot_kgc.dataset import (INVERSE_THRESHOLD, Dataset, SplitManifest, TaskSet,
                                  _task_filename, partition_tasks)
 from oneshot_kgc.errors import DataError, ParseError
+from oneshot_kgc.evaluator import aggregate_kshot
 from oneshot_kgc.graph_store import BackgroundGraph, Triple, Vocab, open_input
 from oneshot_kgc.meta_trainer import Episode
 
@@ -421,6 +422,35 @@ def unfactored_match_scores(matcher, support, queries):
         c = sigmoid(pre["f"]) * c + sigmoid(pre["i"]) * np.tanh(pre["g"])
         h = sigmoid(pre["o"]) * np.tanh(c) + queries
     return h @ support / (np.linalg.norm(h, axis=1) * np.linalg.norm(support))
+
+
+def per_query_score_fn(matcher, graph, references_by_task=None):
+    """A per-task scorer that matches each query against each reference."""
+    def score_fn(task, queries):
+        refs = (references_by_task or {}).get(
+            task.relation, [(task.reference.head, task.reference.tail)])
+        ids = np.unique(np.concatenate(
+            [np.ravel(refs), [h for h, _ in queries]] + [c for _, c in queries]
+        ).astype(np.intp))
+        with ad.no_grad():
+            enc = matcher.encode_entities(ids, graph).data
+            head_gates, tail_gates = matcher.entity_gates(enc)
+
+            def rows(entities):
+                return np.searchsorted(ids, entities)
+
+            supports = [ad.Tensor(np.concatenate([enc[rows(h)], enc[rows(t)]]))
+                        for h, t in refs]
+            out = []
+            for head, cands in queries:
+                hi, ci = rows(head), rows(cands)
+                tails = enc[ci]
+                pairs = ad.Tensor(np.hstack([np.broadcast_to(enc[hi], tails.shape), tails]))
+                gates = ad.Tensor(head_gates[hi] + tail_gates[ci])
+                out.append(aggregate_kshot([matcher.match_scores(s, pairs, gates)[0].data
+                                            for s in supports]))
+        return out
+    return score_fn
 
 
 # ---------------------------------------------------------------------------

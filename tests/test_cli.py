@@ -8,6 +8,7 @@ import pytest
 from oneshot_kgc import autodiff as ad
 from oneshot_kgc.cli import main
 from oneshot_kgc.config import RunConfig
+from oneshot_kgc.dataset import load_dataset
 from oneshot_kgc.embeddings import export_vectors, load_table, save_table
 from oneshot_kgc.errors import ConfigError
 
@@ -106,6 +107,36 @@ class TestPipeline:
         with open(out) as fh:
             payload = json.load(fh)
         assert 0.0 <= payload["overall"]["mrr"] <= 1.0
+
+    def test_kshot_filter_drops_the_promoted_references_tails(self, workdir):
+        # every known tail of a query's head in the whole task, the promoted
+        # references' included, leaves its candidates
+        out = str(workdir["root"] / "report-5shot-filtered.json")
+        assert main(["evaluate", "--dataset", workdir["ds"], "--checkpoint",
+                     os.path.join(workdir["run"], "matcher"), "--split", "test",
+                     "--shots", "5", "--filter-known", "--out", out]) == 0
+        with open(out) as fh:
+            got = {(q["relation"], q["head"], q["truth"]): q["n_candidates"]
+                   for q in json.load(fh)["queries"]}
+        ds = load_dataset(workdir["ds"])
+        name = ds.vocab.id2ent
+        want, without_promoted = {}, {}
+        for task in ds.tasks_for("test"):
+            rel = ds.vocab.id2rel[task.relation]
+            kept = [q for q in task.queries if (rel, name[q[0]], name[q[1]]) in got]
+            assert len(kept) == len(task.queries) - 4
+            ref = (task.reference.head, task.reference.tail)
+            for target, pairs in ((want, [ref] + [q[:2] for q in task.queries]),
+                                  (without_promoted, [ref] + [q[:2] for q in kept])):
+                known = {}
+                for h, t in pairs:
+                    known.setdefault(h, set()).add(t)
+                for h, t, cands in kept:
+                    drop = known[h] - {t}
+                    target[rel, name[h], name[t]] = len([c for c in cands if c not in drop])
+        assert got == want
+        # some remaining query ranks a promoted reference's tail unless it is dropped
+        assert want != without_promoted
 
     def test_evaluate_workers_flag_is_accepted_and_ignored(self, workdir, capsys):
         reports = []

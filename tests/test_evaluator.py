@@ -11,7 +11,7 @@ from oneshot_kgc.evaluator import (QueryResult, RankingReport, aggregate_kshot,
                                    compute_metrics, evaluate_tasks,
                                    matcher_score_fn, rank_from_scores)
 from oneshot_kgc.matcher import Matcher
-from reference import graph_from_lists, neighbor_lists
+from reference import graph_from_lists, neighbor_lists, per_query_score_fn
 
 
 class TestRanking:
@@ -221,6 +221,59 @@ class TestMatcherScoreFn:
             matcher_score_fn(matcher, graph, references_by_task={task.relation: refs}))
         evaluate_tasks([trimmed], score_fn, ds.vocab)
         self.check_against_score_pairs(matcher, graph, calls, refs)
+
+    def test_queries_sharing_a_head_match_score_pairs(self, case):
+        # three queries of one head with different candidate lists, one of
+        # them unsorted and holding a duplicate, and one query of another head
+        task, matcher, graph, head, isolated = case
+        cands = task.queries[0][2]
+        other = next(h for h, _, _ in task.queries if h != head)
+        queries = [(head, cands), (head, cands[::3]),
+                   (head, [cands[5], isolated, cands[1], cands[5]]), (other, cands[1::2])]
+        refs = [(task.reference.head, task.reference.tail)] + \
+            [(h, t) for h, t, _ in task.queries[-2:]]
+        for chosen in (refs[:1], refs):
+            out = matcher_score_fn(matcher, graph, {task.relation: chosen})(task, queries)
+            self.check_against_score_pairs(matcher, graph, [(queries, out)], chosen)
+            assert out[2][0] == out[2][3]
+            assert out[2][0] == out[0][5] and out[2][2] == out[0][1]
+
+    def test_one_match_per_distinct_head_and_reference(self, ds, case, monkeypatch):
+        _, matcher, graph, _, _ = case
+        tasks = ds.tasks_for("test")
+        refs = {t.relation: [(t.reference.head, t.reference.tail)] +
+                [(h, tail) for h, tail, _ in t.queries[:2]] for t in tasks}
+        calls = []
+        original = Matcher.match_scores
+
+        def counting(self, *args, **kw):
+            calls.append(args[1].shape[0])
+            return original(self, *args, **kw)
+        monkeypatch.setattr(Matcher, "match_scores", counting)
+        for by_task in (None, refs):
+            calls.clear()
+            evaluate_tasks(tasks, matcher_score_fn(matcher, graph, by_task), ds.vocab,
+                           filter_known=True)
+            per_ref = 1 if by_task is None else 3
+            assert len(calls) == per_ref * sum(len({h for h, _, _ in t.queries})
+                                               for t in tasks)
+            assert max(calls) <= max(len(c) for t in tasks for _, _, c in t.queries)
+
+    @pytest.mark.parametrize("split", ["test", "valid"])
+    def test_unfiltered_scores_equal_the_per_query_loop(self, ds, graph, split):
+        matcher = Matcher(8, steps=2, seed=4)
+        matcher.attach_table(random_table(ds.vocab.n_entities, ds.vocab.n_relations, 8,
+                                          seed=4), trainable=False)
+        tasks = ds.tasks_for(split)
+        assert any(len({h for h, _, _ in t.queries}) < len(t.queries) for t in tasks)
+        refs = {t.relation: [(t.reference.head, t.reference.tail)] +
+                [(h, tail) for h, tail, _ in t.queries[-2:]] for t in tasks}
+        for by_task in (None, refs):
+            for task in tasks:
+                queries = [(h, c) for h, _, c in task.queries]
+                got = matcher_score_fn(matcher, graph, by_task)(task, queries)
+                want = per_query_score_fn(matcher, graph, by_task)(task, queries)
+                assert all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
 
     def test_reversed_candidates_give_same_ranks(self, ds, case):
         task, matcher, graph, _, _ = case

@@ -229,6 +229,24 @@ class TestTraining:
         for name, p in m.named_parameters().items():
             assert np.array_equal(saved[name], p.data), name
 
+    def test_validation_equals_the_per_query_scorer(self, ds, graph, monkeypatch):
+        # the synthetic valid split repeats heads, so the scorer matches each
+        # distinct (head, candidate) pair once; the per-query loop must log
+        # the same records and pick the same best step
+        def run():
+            matcher = Matcher(8, steps=2, dropout=0.0, seed=9)
+            matcher.attach_table(random_table(ds.vocab.n_entities, ds.vocab.n_relations, 8,
+                                              seed=9))
+            records = []
+            best = train(matcher, graph, ds.tasks_for("train"), ds.tasks_for("valid"),
+                         ds.vocab, small_config(max_episodes=10), log_fn=records.append)
+            return records, best
+
+        records, best = run()
+        monkeypatch.setattr(meta_trainer, "matcher_score_fn", reference.per_query_score_fn)
+        assert run() == (records, best)
+        assert len([r for r in records if "hits10" in r]) == 2
+
     def test_patience_stops_early(self, monkeypatch):
         h = TrainHarness()
         monkeypatch.setattr(meta_trainer, "_validate",
