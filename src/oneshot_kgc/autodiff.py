@@ -585,7 +585,10 @@ class Adam:
         self.schedule = schedule
         self.t = 0
         # np.zeros, unlike zeros_like, leaves the pages unwritten until a
-        # step touches them, so a table's untouched rows cost no memory
+        # step touches them. That saves less than it seems for a table:
+        # NumPy advises huge pages for large arrays, so where transparent
+        # huge pages are on for advised memory, one touched row faults in
+        # 2 MiB, and a few steps of random rows fault in most of the moments
         self._m = [np.zeros(p.data.shape, dtype=p.data.dtype) for p in self.params]
         self._v = [np.zeros(p.data.shape, dtype=p.data.dtype) for p in self.params]
 

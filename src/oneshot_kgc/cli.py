@@ -228,6 +228,11 @@ def cmd_evaluate(args):
     cfg = _resolve_config(args)
     if args.shots < 1:
         raise ConfigError("--shots must be at least 1, got %d" % args.shots)
+    if args.shots > 1 and not args.checkpoint:
+        # an embedding table ranks without references: N shots would report
+        # the 1-shot ranking of fewer queries
+        raise ConfigError("--shots %d needs --checkpoint: an embedding table ranks "
+                          "without references" % args.shots)
     if args.out:
         _check_output_directory(args.out)
     ds = load_dataset(args.dataset)

@@ -166,19 +166,32 @@ def train_embeddings(triples, n_ent, n_rel, model="TransE", dim=100, epochs=1000
     return table, losses
 
 
-RENORM_BLOCK = 4096     # rows per block of the TransE renormalisation
+RENORM_BLOCK = 4096     # rows per block of the TransE renormalisation and RESCAL projection
+TRANSE_BLOCK = 2048     # positives per block of a TransE step, each with its k negatives
+SCATTER_CHUNK = 1024    # rows per np.add.at call of a scatter
 
 
-def _scatter_add(table, rows, values):
-    """``np.add.at(table, rows, values)`` through the table's flat 1-D view.
+def _scatter_add(table, rows, values, subtract=False):
+    """``np.add.at(table, rows, values)`` through the table's flat 1-D view,
+    ``SCATTER_CHUNK`` rows at a time; ``np.subtract.at`` when ``subtract``.
 
     Each element of the table receives its additions in the same order as
-    under ``np.add.at`` on the table itself, so the result is the same bits;
-    NumPy's 1-D ``add.at`` path makes it about twice as fast.
+    under one ``np.add.at`` on the table itself, so the result is the same
+    bits (``a - b`` is ``a + (-b)`` exactly). NumPy's 1-D path makes it about
+    twice as fast, and each chunk builds only its own flat index.
     """
+    flat = table.reshape(-1)        # a view: tables are C-contiguous
     width = int(np.prod(table.shape[1:]))
-    index = (rows[:, None] * width + np.arange(width)).ravel()
-    np.add.at(table.reshape(-1), index, values.ravel())     # a view: tables are C-contiguous
+    offsets = np.arange(width)
+    scatter = np.subtract.at if subtract else np.add.at
+    for start in range(0, rows.shape[0], SCATTER_CHUNK):
+        index = rows[start:start + SCATTER_CHUNK, None] * width + offsets
+        scatter(flat, index.ravel(), values[start:start + SCATTER_CHUNK].ravel())
+
+
+def _row_blocks(E):
+    """Views of ``RENORM_BLOCK`` consecutive rows of ``E``."""
+    return (E[start:start + RENORM_BLOCK] for start in range(0, E.shape[0], RENORM_BLOCK))
 
 
 def _renormalize_rows(E):
@@ -187,40 +200,59 @@ def _renormalize_rows(E):
     A row's norm does not depend on the other rows, so the blocks give the
     same bits as one pass, without a temporary the size of the table.
     """
-    for start in range(0, E.shape[0], RENORM_BLOCK):
-        block = E[start:start + RENORM_BLOCK]
+    for block in _row_blocks(E):
         block /= np.maximum(np.linalg.norm(block, axis=1, keepdims=True), 1e-12)
 
 
 def _step_transe(table, pos, neg, k, lr, margin):
+    """One SGD step of the margin loss, ``TRANSE_BLOCK`` positives at a time.
+
+    ``neg`` holds k negatives per positive, in the positives' order. Every
+    block reads the table as it was before the step, and the scatters run
+    after the last block in the order of one whole-batch step, so the table
+    comes out the same bits as that step's. Working memory is the gradient
+    rows plus one block's temporaries.
+    """
     E, R = table.ent, table.rel
-    hr = E[pos[:, 0]] + R[pos[:, 1]]
-    dp_vec = hr - E[pos[:, 2]]
-    # a negative that kept its positive's head and relation (every one under
-    # tail corruption) reuses the positive's h + r row
-    dn_vec = np.repeat(hr, k, axis=0)
-    moved = np.flatnonzero(np.any(neg[:, :2] != np.repeat(pos[:, :2], k, axis=0), axis=1))
-    if moved.size:
-        dn_vec[moved] = E[neg[moved, 0]] + R[neg[moved, 1]]
-    dn_vec -= E[neg[:, 2]]
-    dp = np.linalg.norm(dp_vec, axis=1)
-    dn = np.linalg.norm(dn_vec, axis=1)
-    viol = margin + np.repeat(dp, k) - dn
-    active = viol > 0
-    loss = viol[active].sum()
+    violations, positives, negatives = [], [], []
+    for start in range(0, pos.shape[0], TRANSE_BLOCK):
+        p = pos[start:start + TRANSE_BLOCK]
+        n = neg[start * k:(start + p.shape[0]) * k]
+        hr = E[p[:, 0]] + R[p[:, 1]]
+        dp_vec = hr - E[p[:, 2]]
+        # a negative that kept its positive's head and relation (every one
+        # under tail corruption) reuses the positive's h + r row
+        dn_vec = np.repeat(hr, k, axis=0)
+        moved = np.flatnonzero(np.any(n[:, :2] != np.repeat(p[:, :2], k, axis=0), axis=1))
+        if moved.size:
+            dn_vec[moved] = E[n[moved, 0]] + R[n[moved, 1]]
+        dn_vec -= E[n[:, 2]]
+        dp = np.linalg.norm(dp_vec, axis=1)
+        dn = np.linalg.norm(dn_vec, axis=1)
+        viol = margin + np.repeat(dp, k) - dn
+        active = viol > 0
+        violations.append(viol[active])
+        # gp = up * wp * lr, up the unit rows and wp each positive's count of
+        # active negatives; gn = un * lr over the active negatives only
+        gp = dp_vec
+        gp /= np.maximum(dp, 1e-12)[:, None]
+        gp *= np.count_nonzero(active.reshape(-1, k), axis=1).astype(float)[:, None]
+        gp *= lr
+        gn = dn_vec[active]
+        gn /= np.maximum(dn[active], 1e-12)[:, None]
+        gn *= lr
+        positives.append((p, gp))
+        negatives.append((n[active], gn))
+    loss = np.concatenate(violations).sum()
     if loss > 0:
-        up = dp_vec / np.maximum(dp, 1e-12)[:, None]
-        un = dn_vec / np.maximum(dn, 1e-12)[:, None]
-        wp = np.bincount(np.arange(pos.shape[0]).repeat(k)[active],
-                         minlength=pos.shape[0]).astype(float)
-        gp = up * wp[:, None] * lr
-        gn = un[active] * lr
-        _scatter_add(E, pos[:, 0], -gp)
-        _scatter_add(E, pos[:, 2], gp)
-        _scatter_add(R, pos[:, 1], -gp)
-        _scatter_add(E, neg[active, 0], gn)
-        _scatter_add(E, neg[active, 2], -gn)
-        _scatter_add(R, neg[active, 1], gn)
+        # one whole-batch step's order: positive heads, tails, relations, then
+        # the active negatives' heads, tails, relations, each walking the
+        # blocks; a positive's h and r move by -gp and its t by +gp, and a
+        # negative's the other way round
+        for side, minus in ((positives, True), (negatives, False)):
+            for target, col, subtract in ((E, 0, minus), (E, 2, not minus), (R, 1, minus)):
+                for rows, grad in side:
+                    _scatter_add(target, rows[:, col], grad, subtract)
         _renormalize_rows(E)
     return loss
 
@@ -244,8 +276,10 @@ def _step_rescal(table, pos, neg, k, lr, margin):
         _scatter_add(E, na[:, 0], -lr * np.einsum("bij,bj->bi", mn, tn))
         _scatter_add(E, na[:, 2], -lr * np.einsum("bi,bij->bj", hn, mn))
         _scatter_add(M, na[:, 1], -lr * np.einsum("bi,bj->bij", hn, tn))
-        norms = np.linalg.norm(E, axis=1, keepdims=True)
-        np.divide(E, norms, out=E, where=norms > 1.0)
+        # project rows longer than 1 back onto the unit ball
+        for block in _row_blocks(E):
+            norms = np.linalg.norm(block, axis=1, keepdims=True)
+            np.divide(block, norms, out=block, where=norms > 1.0)
     return loss
 
 

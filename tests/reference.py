@@ -1,10 +1,11 @@
 """Reference implementations and helpers that only the tests use.
 
 ``step_transe`` is one TransE minibatch step as it was before the flat
-scatter, the blocked renormalisation and the shared h + r rows, and
-``sample_episode`` is the episode sampler as it was before the per-head
-skip tables: it filters the candidate pool with ``np.isin`` once per
-positive. The program must give exactly the same tables and episodes.
+chunked scatter, the blocked renormalisation, the shared h + r rows and the
+step's row blocks, and ``sample_episode`` is the episode sampler as it was
+before the per-head skip tables: it filters the candidate pool with
+``np.isin`` once per positive. The program must give exactly the same
+tables and episodes.
 
 ``build_candidates`` and ``detect_inverse_relations`` are the dataset
 builder's functions as they were before the type index and the sorted join:

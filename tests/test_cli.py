@@ -411,6 +411,15 @@ class TestExitCodes:
                      os.path.join(workdir["run"], "matcher"), "--shots", shots]) == 1
         assert "--shots must be at least 1, got %s" % shots in capsys.readouterr().err
 
+    def test_evaluate_table_with_shots_is_config_error(self, workdir, capsys):
+        # a table ranks without references: --shots 3 would be a 1-shot report
+        # over fewer queries
+        assert main(["evaluate", "--dataset", workdir["ds"], "--table", workdir["table"],
+                     "--shots", "3"]) == 1
+        assert "--shots 3 needs --checkpoint" in capsys.readouterr().err
+        assert main(["evaluate", "--dataset", workdir["ds"], "--table", workdir["table"],
+                     "--shots", "1"]) == 0
+
     @pytest.mark.parametrize("counts", ["6,2,x", "8,-1,3"])
     def test_build_with_bad_counts_is_config_error(self, dump_path, tmp_path, capsys, counts):
         assert main(["build-dataset", "--input", dump_path, "--out", str(tmp_path / "out"),

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import reference
@@ -138,24 +140,47 @@ class TestTransEStep:
     def test_scatter_add_matches_add_at(self, row_shape):
         rng = np.random.default_rng(0)
         table = rng.normal(size=(30,) + row_shape)
-        rows = rng.integers(6, size=500)            # every id repeats many times
+        n = 2 * embeddings.SCATTER_CHUNK + 452      # two whole chunks and a part
+        rows = rng.integers(6, size=n)              # every id repeats many times
         # magnitudes 1e-8..1e8, so any other summation order changes bits
-        scale = 10.0 ** rng.integers(-8, 9, size=(500,) + (1,) * len(row_shape))
-        values = rng.normal(size=(500,) + row_shape) * scale
-        want = table.copy()
-        np.add.at(want, rows, values)
-        embeddings._scatter_add(table, rows, values)
-        assert np.array_equal(table, want)
+        scale = 10.0 ** rng.integers(-8, 9, size=(n,) + (1,) * len(row_shape))
+        values = rng.normal(size=(n,) + row_shape) * scale
+        for subtract in (False, True):
+            got, want = table.copy(), table.copy()
+            np.add.at(want, rows, -values if subtract else values)
+            embeddings._scatter_add(got, rows, values, subtract)
+            assert np.array_equal(got, want)
+
+    def test_step_memory_is_the_gradient_rows_plus_one_block(self):
+        # NELL-shaped batch; margin 10 makes every negative active, so the
+        # step keeps all B * (1 + k) gradient rows until its scatters
+        B, d, k, n_ent = 16384, 100, 2, 20000
+        rng = np.random.default_rng(3)
+        table = init_table("TransE", n_ent, 50, d, rng)
+        embeddings._renormalize_rows(table.ent)
+        pos = np.stack([rng.integers(n_ent, size=B), rng.integers(50, size=B),
+                        rng.integers(n_ent, size=B)], axis=1)
+        neg = embeddings._sample_negatives(rng, pos, n_ent, "tail", k)
+        tracemalloc.start()
+        try:
+            embeddings._step_transe(table, pos, neg, k, 0.01, 10.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * B * (1 + k) * d * 8
 
     @pytest.mark.parametrize("mode", ["tail", "head", "both"])
-    def test_step_matches_reference_step(self, mode):
-        # more rows than one renormalisation block, so the blocks are exercised
-        n_ent, n_rel, k = 2 * embeddings.RENORM_BLOCK + 123, 7, 3
+    def test_step_matches_reference_step(self, monkeypatch, mode):
+        # more rows than one renormalisation block; 600 positives make nine
+        # whole step blocks and a part, and each scatter many chunks
+        monkeypatch.setattr(embeddings, "TRANSE_BLOCK", 64)
+        monkeypatch.setattr(embeddings, "SCATTER_CHUNK", 50)
+        n_ent, n_rel = 2 * embeddings.RENORM_BLOCK + 123, 7
         rng = np.random.default_rng(1)
         table = init_table("TransE", n_ent, n_rel, 16, rng)
         embeddings._renormalize_rows(table.ent)
         ref = EmbeddingTable("TransE", 16, table.ent.copy(), table.rel.copy())
-        for _ in range(3):
+        for k in (1, 3, 3):
             pos = np.stack([rng.integers(40, size=600), rng.integers(n_rel, size=600),
                             rng.integers(40, size=600)], axis=1)
             neg = embeddings._sample_negatives(rng, pos, n_ent, mode, k)
