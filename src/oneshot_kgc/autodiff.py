@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, NumericError
+from .errors import DataError, NumericError, writing
 
 # When True, every op output is checked for NaN/Inf and trips NumericError.
 CHECK_FINITE = True
@@ -638,32 +638,29 @@ def save_checkpoint(path, arrays, metadata=None):
     """Write named arrays to ``path.bin`` with a JSON index at ``path.json``.
 
     The arrays are stored back to back in name order, each written from its
-    own buffer without a copy. Each file is written under a temporary name
-    and then moved into place, so an interrupted write leaves the previous
-    file whole.
+    own buffer without a copy. Both files are written under temporary names
+    before either is moved into place, so a failed write (a DataError naming
+    the file) leaves the previous checkpoint whole.
     """
+    blob, header = path + ".bin", path + ".json"
     index = {}
     offset = 0
-    with _replacing(path + ".bin", "wb") as fh:
-        for name in sorted(arrays):
-            arr = np.ascontiguousarray(np.asarray(arrays[name], dtype=np.float64))
-            fh.write(arr)
-            index[name] = {"offset": offset, "shape": list(arr.shape)}
-            offset += arr.nbytes
-    with _replacing(path + ".json", "w") as fh:
-        json.dump({"params": index, "metadata": metadata or {}}, fh, indent=2, sort_keys=True)
-
-
-@contextlib.contextmanager
-def _replacing(path, mode):
-    tmp = path + ".tmp"
     try:
-        with open(tmp, mode) as fh:
-            yield fh
-        os.replace(tmp, path)
+        with writing(blob + ".tmp"), open(blob + ".tmp", "wb") as fh:
+            for name in sorted(arrays):
+                arr = np.ascontiguousarray(np.asarray(arrays[name], dtype=np.float64))
+                fh.write(arr)
+                index[name] = {"offset": offset, "shape": list(arr.shape)}
+                offset += arr.nbytes
+        with writing(header + ".tmp"), open(header + ".tmp", "w") as fh:
+            json.dump({"params": index, "metadata": metadata or {}}, fh, indent=2, sort_keys=True)
+        for name in (blob, header):
+            with writing(name):
+                os.replace(name + ".tmp", name)
     finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
+        for name in (blob, header):
+            if os.path.exists(name + ".tmp"):
+                os.remove(name + ".tmp")
 
 
 def load_checkpoint(path, format_version=None):
@@ -676,16 +673,7 @@ def load_checkpoint(path, format_version=None):
     the blob), or when ``format_version`` is given and the metadata records
     another one.
     """
-    header = read_checkpoint_index(path)
-    try:
-        n_bytes = os.path.getsize(path + ".bin")
-        index, metadata = header["params"], header.get("metadata", {})
-        entries = [(e["offset"], tuple(e["shape"]), name) for name, e in index.items()]
-    except (OSError, KeyError, TypeError, AttributeError) as exc:
-        raise DataError("cannot read checkpoint %s: %s" % (path, exc))
-    if format_version is not None and metadata.get("format_version") != format_version:
-        raise DataError("checkpoint %s has format version %r, expected %r"
-                        % (path, metadata.get("format_version"), format_version))
+    entries, metadata, n_bytes = read_checkpoint_index(path, format_version)
     for offset, shape, name in entries:
         if not all(type(n) is int and n >= 0 for n in (offset,) + shape):
             raise DataError("checkpoint %s: %s has offset %r and shape %r; both must be "
@@ -717,13 +705,22 @@ def load_checkpoint(path, format_version=None):
     return arrays, metadata
 
 
-def read_checkpoint_index(path):
-    """The JSON index of a checkpoint: ``{"params": ..., "metadata": ...}``."""
+def read_checkpoint_index(path, format_version=None):
+    """A checkpoint's index, checked as :func:`load_checkpoint` checks it up
+    to reading the arrays; returns (entries ``(offset, shape, name)``,
+    metadata, blob bytes)."""
     try:
         with open(path + ".json") as fh:
-            return json.load(fh)
-    except (OSError, ValueError) as exc:
+            header = json.load(fh)
+        n_bytes = os.path.getsize(path + ".bin")
+        index, metadata = header["params"], header.get("metadata", {})
+        entries = [(e["offset"], tuple(e["shape"]), name) for name, e in index.items()]
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
         raise DataError("cannot read checkpoint %s: %s" % (path, exc))
+    if format_version is not None and metadata.get("format_version") != format_version:
+        raise DataError("checkpoint %s has format version %r, expected %r"
+                        % (path, metadata.get("format_version"), format_version))
+    return entries, metadata, n_bytes
 
 
 def checkpoint_exists(path):

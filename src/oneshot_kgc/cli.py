@@ -8,7 +8,6 @@ train-matcher, evaluate. Exit codes: 0 success, 1 usage/config error,
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import os
 import sys
@@ -16,14 +15,13 @@ import sys
 import numpy as np
 
 from . import synthetic
-from .autodiff import checkpoint_exists, read_checkpoint_index
 from .config import RunConfig, substream
 from .dataset import build_dataset, load_dataset
-from .errors import ConfigError, DataError, NumericError
+from .errors import ConfigError, DataError, NumericError, writing
 from .evaluator import embedding_score_fn, evaluate_tasks, matcher_score_fn
 from .graph_store import build_neighbor_index, load_triples
 from .matcher import SETTINGS, Matcher, load_matcher
-from .meta_trainer import check_valid_split, train
+from .meta_trainer import check_valid_split, resumed_step, train
 from .embeddings import (export_vectors, load_table, random_table, save_table,
                          train_embeddings)
 
@@ -50,16 +48,6 @@ def _resolve_config(args):
     return cfg.validate()
 
 
-@contextlib.contextmanager
-def _writing(path):
-    """An OSError raised while the body writes the output ``path`` is a
-    :class:`DataError` naming it."""
-    try:
-        yield
-    except OSError as exc:
-        raise DataError("cannot write %s: %s" % (path, exc.strerror or exc)) from None
-
-
 def _check_output_directory(path):
     """Refuse, before any work, an output file whose directory does not exist."""
     directory = os.path.dirname(path) or os.curdir
@@ -69,7 +57,7 @@ def _check_output_directory(path):
 
 def cmd_generate_synthetic(args):
     rows = synthetic.generate(seed=args.seed)
-    with _writing(args.out):
+    with writing(args.out):
         synthetic.write_dump(args.out, rows)
     print("wrote %d triples to %s" % (len(rows), args.out))
 
@@ -88,7 +76,7 @@ def cmd_build_dataset(args):
             raise ConfigError("--counts expects three comma-separated non-negative "
                               "integers, got %r" % args.counts)
     explicit = _read_explicit_split(args.explicit_split) if args.explicit_split else None
-    with _writing(args.out):
+    with writing(args.out):
         manifest = build_dataset(args.out, triples, vocab, counts=counts,
                                  band=(args.band_lo, args.band_hi), seed=args.seed,
                                  candidate_floor=args.candidate_floor,
@@ -133,8 +121,7 @@ def cmd_train_embeddings(args):
         table = random_table(ds.vocab.n_entities, ds.vocab.n_relations,
                              cfg.dim, seed=cfg.seed)
         table.metadata["regime"] = args.regime
-        with _writing(args.out):
-            save_table(args.out, table)
+        save_table(args.out, table)
         print("random table written to %s" % args.out)
         return
     triples = ds.background if args.regime == "matcher" else _baseline_triples(ds)
@@ -145,8 +132,7 @@ def cmd_train_embeddings(args):
         margin=cfg.margin_embed, reg=cfg.l2_reg,
         batch_size=cfg.embedding_batch_size, seed=cfg.seed)
     table.metadata["regime"] = args.regime
-    with _writing(args.out):
-        save_table(args.out, table)
+    save_table(args.out, table)
     print("trained %s on %d triples (%d epochs, final mean loss %.4f) -> %s"
           % (args.model, len(triples), cfg.embedding_epochs, losses[-1], args.out))
 
@@ -163,7 +149,7 @@ def cmd_train_matcher(args):
     matcher = Matcher(table.dim, seed=cfg.seed, **{name: getattr(cfg, name) for name in SETTINGS})
     matcher.attach_table(export_vectors(table), trainable=cfg.train_embeddings)
     del table       # the matcher holds its own copy
-    with _writing(args.out):
+    with writing(args.out):
         os.makedirs(args.out, exist_ok=True)
         cfg.to_file(os.path.join(args.out, "run-config.txt"))
     log_path = os.path.join(args.out, "training-log.jsonl")
@@ -194,12 +180,9 @@ def cmd_train_matcher(args):
 def _log_up_to_resumed_step(log_path, checkpoint):
     """Lines of an earlier run's training log at or before the step its
     saved state resumes from (none when there is no state to resume)."""
-    state = checkpoint + ".state"
-    if not (os.path.exists(log_path) and checkpoint_exists(state)):
+    step = resumed_step(checkpoint) if os.path.exists(log_path) else None
+    if step is None:
         return []
-    step = read_checkpoint_index(state).get("metadata", {}).get("step")
-    if not isinstance(step, int):
-        raise DataError("training state %s records no step" % state)
     with open(log_path) as fh:
         lines = fh.readlines()
     try:
@@ -253,7 +236,7 @@ def cmd_evaluate(args):
 
     print(report.to_text())
     if args.out:
-        with _writing(args.out), open(args.out, "w") as fh:
+        with writing(args.out), open(args.out, "w") as fh:
             fh.write(report.to_json())
         print("report written to %s" % args.out)
 

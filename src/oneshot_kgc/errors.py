@@ -4,6 +4,8 @@ Exit-code mapping used by the CLI:
   ConfigError -> 1, DataError (incl. ParseError) -> 2, NumericError -> 3
 """
 
+import contextlib
+
 
 class ConfigError(Exception):
     """Invalid configuration or usage."""
@@ -19,3 +21,13 @@ class ParseError(DataError):
 
 class NumericError(Exception):
     """Non-finite values or an autodiff contract violation."""
+
+
+@contextlib.contextmanager
+def writing(path):
+    """An OSError raised while the body writes the output ``path`` is a
+    :class:`DataError` naming it."""
+    try:
+        yield
+    except OSError as exc:
+        raise DataError("cannot write %s: %s" % (path, exc.strerror or exc)) from None

@@ -3,8 +3,8 @@
 Each episode samples one task relation's reference triple, a batch of
 positive query triples and tail-polluted negatives, accumulates the hinge
 losses and performs one optimizer step. Every ``eval_interval`` episodes the
-validation tasks are ranked (dropout off) and the checkpoint with the best
-Hits@10 is retained.
+validation tasks are ranked (dropout off); the best Hits@10 model is kept only
+in its checkpoint, which training reads back when it ends.
 
 The episode stream is deterministic in (seed, step): task order per epoch and
 per-episode sampling both derive from the master seed and the step counter,
@@ -129,15 +129,16 @@ def check_valid_split(valid_tasks, config):
                         "eval_interval above max_episodes" % config.eval_interval)
 
 
-def train(matcher, graph, train_tasks, valid_tasks, vocab, config,
-          log_fn=None, checkpoint_path=None, resume=False):
+def train(matcher, graph, train_tasks, valid_tasks, vocab, config, checkpoint_path,
+          log_fn=None, resume=False):
     """Run meta-training; returns (best_hits10, best_step).
 
     Training stops after ``max_episodes`` steps, or once ``patience``
-    validations in a row have not improved on the best. The matcher is left
-    holding the best-validation parameters, or its trained ones when no
-    validation ran. When ``checkpoint_path`` is given, that model and a
-    resumable state blob are written there.
+    validations in a row have not improved on the best. Each improvement
+    writes the model to ``checkpoint_path``, the only copy of the best
+    parameters, and each validation a resumable state next to it. The
+    matcher ends holding the parameters read back from there, or, when no
+    validation ran, its trained ones, which are then saved there.
     """
     pool = TaskPool(train_tasks)
     relations = pool.relations
@@ -148,23 +149,22 @@ def train(matcher, graph, train_tasks, valid_tasks, vocab, config,
     opt = ad.Adam(matcher.parameters(), lr=config.lr,
                   schedule=ad.halving_schedule(config.lr_half_every))
     step, best_metric, best_step = 0, -1.0, -1
-    best_arrays = None      # the parameters at best_step
-    state_path = (checkpoint_path + ".state") if checkpoint_path else None
+    state_path = checkpoint_path + ".state"
 
-    if resume and state_path and ad.checkpoint_exists(state_path):
+    if resume and ad.checkpoint_exists(state_path):
         arrays, meta = ad.load_checkpoint(state_path, format_version=FORMAT_VERSION)
         _check_resumable(state_path, meta, config)
         assign_arrays(_state_arrays(names, opt), arrays, state_path)
+        del arrays      # not held through training
         step = int(meta["step"])
         opt.t = int(meta["opt_t"])
         best_metric = float(meta["best_metric"])
         best_step = int(meta["best_step"])
         log.info("resumed from step %d", step)
         if best_step >= 0:
-            # the best parameters so far are those of the best checkpoint
-            best_arrays = {name: p.data.copy() for name, p in names.items()}
-            arrays, _ = ad.load_checkpoint(checkpoint_path, format_version=FORMAT_VERSION)
-            assign_arrays(best_arrays, arrays, checkpoint_path)
+            # the run ends by reading the best checkpoint back; refuse one
+            # that cannot be read before training on
+            ad.read_checkpoint_index(checkpoint_path, format_version=FORMAT_VERSION)
 
     # validations run at the multiples of eval_interval, best_step among them,
     # so the quotient counts those since the best (since the start before one)
@@ -193,23 +193,31 @@ def train(matcher, graph, train_tasks, valid_tasks, vocab, config,
                 log_fn({"step": step, **metrics})
             if metrics["hits10"] > best_metric:
                 best_metric, best_step = metrics["hits10"], step
-                best_arrays = {name: p.data.copy() for name, p in names.items()}
-                if checkpoint_path:
-                    save_matcher(checkpoint_path, matcher)
-            if state_path:
-                ad.save_checkpoint(state_path, _state_arrays(names, opt),
-                                   metadata={"format_version": FORMAT_VERSION, "step": step,
-                                             "opt_t": opt.t, "best_metric": best_metric,
-                                             "best_step": best_step,
-                                             "config": _resumable_config(config)})
+                save_matcher(checkpoint_path, matcher)
+            ad.save_checkpoint(state_path, _state_arrays(names, opt),
+                               metadata={"format_version": FORMAT_VERSION, "step": step,
+                                         "opt_t": opt.t, "best_metric": best_metric,
+                                         "best_step": best_step,
+                                         "config": _resumable_config(config)})
 
+    del opt     # its moments, before the best parameters are read back
     if best_step >= 0:
-        # the best checkpoint was written when it was found
-        for name, p in names.items():
-            p.data[...] = best_arrays[name]
-    elif checkpoint_path:
+        arrays, _ = ad.load_checkpoint(checkpoint_path, format_version=FORMAT_VERSION)
+        assign_arrays({name: p.data for name, p in names.items()}, arrays, checkpoint_path)
+    else:
         save_matcher(checkpoint_path, matcher)
     return best_metric, best_step
+
+
+def resumed_step(checkpoint_path):
+    """The step a resume from ``checkpoint_path`` starts at; None without a state."""
+    state_path = checkpoint_path + ".state"
+    if not ad.checkpoint_exists(state_path):
+        return None
+    step = ad.read_checkpoint_index(state_path)[1].get("step")
+    if not isinstance(step, int):
+        raise DataError("training state %s records no step" % state_path)
+    return step
 
 
 def _state_arrays(names, opt):
@@ -270,8 +278,6 @@ def _check_resumable(state_path, meta, config):
 
 
 def _dump_diagnostics(checkpoint_path, step, episode, loss_value):
-    if not checkpoint_path:
-        return
     payload = {"step": step, "relation": episode.relation, "loss": repr(loss_value),
                "reference": list(episode.reference),
                "positives": episode.positives, "negatives": episode.negatives}

@@ -249,14 +249,15 @@ def _graph_ops(out):
 
 
 @pytest.fixture(scope="session")
-def trained_run(ds, graph, transe_table):
+def trained_run(ds, graph, transe_table, tmp_path_factory):
     cfg = RunConfig(dim=32, hidden=64, batch_size=32, eval_interval=500,
                     max_episodes=3000, dropout=0.3, seed=0)
     matcher = Matcher(32, steps=cfg.steps, dropout=cfg.dropout, seed=cfg.seed)
     matcher.attach_table(transe_table, trainable=True)
     t0 = time.monotonic()
     best, best_step = train(matcher, graph, ds.tasks_for("train"),
-                            ds.tasks_for("valid"), ds.vocab, cfg)
+                            ds.tasks_for("valid"), ds.vocab, cfg,
+                            checkpoint_path=str(tmp_path_factory.mktemp("c4") / "matcher"))
     return matcher, best, best_step, time.monotonic() - t0
 
 

@@ -1,5 +1,8 @@
+import errno
 import json
 import math
+import os
+import re
 import threading
 
 import numpy as np
@@ -427,9 +430,32 @@ class TestCheckpoint:
             def __array__(self, dtype=None, copy=None):
                 raise OSError("disk full")
 
-        with pytest.raises(OSError, match="disk full"):
+        want = re.escape("cannot write %s.bin.tmp: disk full" % path)
+        with pytest.raises(DataError, match=want):
             ad.save_checkpoint(path, {"a": np.zeros(5), "b": Unwritable()},
                                metadata={"n": 2})
+        arrays, meta = ad.load_checkpoint(path)
+        assert arrays["a"].tolist() == [0.0, 1.0, 2.0] and meta == {"n": 1}
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt.bin", "ckpt.json"]
+
+    def test_failed_index_write_keeps_the_previous_blob(self, tmp_path, monkeypatch):
+        # the new blob is written in full, but it must not replace the old
+        # one before the new index is written too
+        path = str(tmp_path / "ckpt")
+        ad.save_checkpoint(path, {"a": np.arange(3.0)}, metadata={"n": 1})
+        with open(path + ".bin", "rb") as fh:
+            blob = fh.read()
+
+        def no_space(obj, fh, **kw):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(json, "dump", no_space)
+        want = re.escape("cannot write %s.json.tmp: No space left" % path)
+        with pytest.raises(DataError, match=want):
+            ad.save_checkpoint(path, {"a": np.arange(5.0)}, metadata={"n": 2})
+        monkeypatch.undo()
+        with open(path + ".bin", "rb") as fh:
+            assert fh.read() == blob
         arrays, meta = ad.load_checkpoint(path)
         assert arrays["a"].tolist() == [0.0, 1.0, 2.0] and meta == {"n": 1}
         assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt.bin", "ckpt.json"]

@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 import os
@@ -288,6 +289,45 @@ class TestResume:
             json.dump(header, fh)
         assert main(train_argv(workdir, run, 15) + ["--resume"]) == 2
         assert "records no run config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("removed", ["matcher.bin", "matcher.json"])
+    def test_resume_without_the_best_checkpoint_is_data_error(self, workdir, tmp_path, capsys,
+                                                              removed):
+        # the state records a best step, and the run would end by reading
+        # that checkpoint back: it is refused before the first episode
+        run = str(tmp_path / "run")
+        assert main(train_argv(workdir, run, 10)) == 0
+        with open(os.path.join(run, "training-log.jsonl")) as fh:
+            log = fh.read()
+        os.remove(os.path.join(run, removed))
+        assert main(train_argv(workdir, run, 15) + ["--resume"]) == 2
+        assert "cannot read checkpoint %s" % os.path.join(run, "matcher") \
+            in capsys.readouterr().err
+        with open(os.path.join(run, "training-log.jsonl")) as fh:
+            assert fh.read() == log
+
+    def test_failed_state_write_is_data_error(self, workdir, tmp_path, capsys, monkeypatch):
+        # the resumed run's state index cannot be written: the previous state
+        # stays whole, and a later resume starts from it
+        run = str(tmp_path / "run")
+        assert main(train_argv(workdir, run, 5)) == 0
+        state = os.path.join(run, "matcher.state")
+        blob = sha(state + ".bin")
+        dump = json.dump
+
+        def no_space(obj, fh, **kw):
+            if fh.name == state + ".json.tmp":
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            dump(obj, fh, **kw)
+
+        monkeypatch.setattr(json, "dump", no_space)
+        assert main(train_argv(workdir, run, 10) + ["--resume"]) == 2
+        err = capsys.readouterr().err
+        assert "cannot write %s.json.tmp: No space left on device" % state in err
+        assert "Traceback" not in err
+        monkeypatch.undo()
+        assert sha(state + ".bin") == blob
+        assert ad.load_checkpoint(state)[1]["step"] == 5
 
 
 def copy_run(workdir, tmp_path):

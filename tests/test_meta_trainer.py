@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -127,7 +128,8 @@ def small_config(**kw):
 class TrainHarness:
     """Tiny 3-task training setup shared across the trainer tests."""
 
-    def __init__(self, seed=5):
+    def __init__(self, workdir, seed=5):
+        self.workdir = workdir
         self.config = small_config(seed=seed)
         self.train_tasks = [toy_task(relation=r, seed=r) for r in (0, 1, 2)]
         self.valid_tasks = [toy_task(relation=3, seed=3)]
@@ -143,20 +145,21 @@ class TrainHarness:
         background = [Triple(e, e % 4, (e + 1) % n_ent) for e in range(n_ent)]
         self.graph = build_neighbor_index(background, n_ent, max_neighbors=50)
 
-    def matcher(self, trainable=True):
+    def matcher(self, trainable=True, n_entities=64):
         m = Matcher(8, steps=2, dropout=0.0, seed=9)
-        m.attach_table(random_table(64, 4, 8, seed=9), trainable=trainable)
+        m.attach_table(random_table(n_entities, 4, 8, seed=9), trainable=trainable)
         return m
 
     def run(self, log_fn=None, checkpoint_path=None, resume=False, config=None, matcher=None):
         return train(matcher or self.matcher(), self.graph, self.train_tasks, self.valid_tasks,
-                     self.vocab, config or self.config, log_fn=log_fn,
-                     checkpoint_path=checkpoint_path, resume=resume)
+                     self.vocab, config or self.config,
+                     checkpoint_path=checkpoint_path or str(self.workdir / "matcher"),
+                     log_fn=log_fn, resume=resume)
 
 
 class TestTraining:
-    def test_runs_and_logs(self):
-        h = TrainHarness()
+    def test_runs_and_logs(self, tmp_path):
+        h = TrainHarness(tmp_path)
         records = []
         best, best_step = h.run(log_fn=records.append)
         loss_records = [r for r in records if "loss" in r]
@@ -166,15 +169,15 @@ class TestTraining:
         assert 0.0 <= best <= 1.0
         assert best_step in {r["step"] for r in eval_records}
 
-    def test_loss_trace_bitwise_reproducible(self):
-        h = TrainHarness()
+    def test_loss_trace_bitwise_reproducible(self, tmp_path):
+        h = TrainHarness(tmp_path)
         a, b = [], []
         h.run(log_fn=a.append)
         h.run(log_fn=b.append)
         assert [r.get("loss") for r in a] == [r.get("loss") for r in b]
 
-    def test_only_meta_train_tasks_sampled(self):
-        h = TrainHarness()
+    def test_only_meta_train_tasks_sampled(self, tmp_path):
+        h = TrainHarness(tmp_path)
         pool_holder = {}
         orig = meta_trainer.TaskPool
 
@@ -189,8 +192,8 @@ class TestTraining:
             meta_trainer.TaskPool = orig
         assert pool_holder["pool"].accessed <= {0, 1, 2}
 
-    def test_best_checkpoint_is_argmax_validation(self, monkeypatch):
-        h = TrainHarness()
+    def test_best_checkpoint_is_argmax_validation(self, tmp_path, monkeypatch):
+        h = TrainHarness(tmp_path)
         scripted = iter([0.1, 0.3, 0.2])
 
         def fake_validate(matcher, graph, valid_tasks, vocab):
@@ -203,7 +206,7 @@ class TestTraining:
         assert best_step == 10
 
     def test_resume_matches_uninterrupted_run(self, tmp_path):
-        h = TrainHarness()
+        h = TrainHarness(tmp_path)
         full = []
         h.run(log_fn=full.append, checkpoint_path=str(tmp_path / "full"))
 
@@ -219,7 +222,7 @@ class TestTraining:
 
     def test_run_without_validation_keeps_its_trained_weights(self, tmp_path):
         # max_episodes below eval_interval: no validation ever runs
-        h = TrainHarness()
+        h = TrainHarness(tmp_path)
         m, fresh = h.matcher(), h.matcher()
         ckpt = str(tmp_path / "run")
         assert h.run(matcher=m, checkpoint_path=ckpt,
@@ -229,7 +232,7 @@ class TestTraining:
         for name, p in m.named_parameters().items():
             assert np.array_equal(saved[name], p.data), name
 
-    def test_validation_equals_the_per_query_scorer(self, ds, graph, monkeypatch):
+    def test_validation_equals_the_per_query_scorer(self, ds, graph, tmp_path, monkeypatch):
         # the synthetic valid split repeats heads, so the scorer matches each
         # distinct (head, candidate) pair once; the per-query loop must log
         # the same records and pick the same best step
@@ -239,7 +242,8 @@ class TestTraining:
                                               seed=9))
             records = []
             best = train(matcher, graph, ds.tasks_for("train"), ds.tasks_for("valid"),
-                         ds.vocab, small_config(max_episodes=10), log_fn=records.append)
+                         ds.vocab, small_config(max_episodes=10),
+                         checkpoint_path=str(tmp_path / "matcher"), log_fn=records.append)
             return records, best
 
         records, best = run()
@@ -247,8 +251,8 @@ class TestTraining:
         assert run() == (records, best)
         assert len([r for r in records if "hits10" in r]) == 2
 
-    def test_patience_stops_early(self, monkeypatch):
-        h = TrainHarness()
+    def test_patience_stops_early(self, tmp_path, monkeypatch):
+        h = TrainHarness(tmp_path)
         monkeypatch.setattr(meta_trainer, "_validate",
                             lambda *a: {"mrr": 0.0, "hits1": 0.0,
                                         "hits5": 0.0, "hits10": 0.0})
@@ -259,8 +263,8 @@ class TestTraining:
         # first eval sets the best (0.0 > -1), then two non-improving evals
         assert max(steps) == 15
 
-    def test_no_train_tasks_is_data_error(self):
-        h = TrainHarness()
+    def test_no_train_tasks_is_data_error(self, tmp_path):
+        h = TrainHarness(tmp_path)
         h.train_tasks = []
         with pytest.raises(DataError, match="no meta-train task relations"):
             h.run()
@@ -269,7 +273,7 @@ class TestTraining:
                              ids=["no-relations", "no-queries"])
     def test_empty_valid_split_is_refused_before_the_first_episode(self, tmp_path,
                                                                     valid_tasks):
-        h = TrainHarness()
+        h = TrainHarness(tmp_path)
         h.valid_tasks = valid_tasks
         records = []
         with pytest.raises(DataError, match="meta-valid split holds no queries"):
@@ -279,10 +283,10 @@ class TestTraining:
         h.run(log_fn=records.append, config=small_config(eval_interval=20))
         assert [r["step"] for r in records] == list(range(1, 16))
 
-    def test_validation_runs_when_the_episode_is_skipped(self, monkeypatch):
+    def test_validation_runs_when_the_episode_is_skipped(self, tmp_path, monkeypatch):
         # sample_episode finds no episode at every fifth step, the steps that
         # validate and the step that ends the run
-        h = TrainHarness()
+        h = TrainHarness(tmp_path)
         sampled = []
 
         def every_fifth_skipped(entry, batch_size, rng):
@@ -309,11 +313,44 @@ def scripted_validation(*scores):
     return validate
 
 
+class TestBestParameters:
+    """The best checkpoint is the only copy of the best parameters."""
+
+    @pytest.mark.parametrize("trainable, bound", [(True, 2.5), (False, 1.5)],
+                             ids=["trainable", "frozen"])
+    def test_training_holds_no_copy_of_the_parameters(self, tmp_path, trainable, bound):
+        # a table large enough for the parameters to set the peak: Adam's two
+        # moments of a trainable table, and the best checkpoint read back
+        # once they are released
+        h = TrainHarness(tmp_path)
+        m = h.matcher(trainable, n_entities=200_000)
+        stored = sum(p.data.nbytes for p in m.named_parameters().values())
+        tracemalloc.start()
+        try:
+            assert h.run(matcher=m)[1] >= 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * stored, peak / stored
+
+    def test_matcher_ends_with_the_best_checkpoint(self, tmp_path, monkeypatch):
+        # best at step 5; the state holds the parameters of step 15
+        h = TrainHarness(tmp_path)
+        m = h.matcher()
+        monkeypatch.setattr(meta_trainer, "_validate", scripted_validation(0.5, 0.1, 0.1))
+        assert h.run(matcher=m) == (0.5, 5)
+        best = ad.load_checkpoint(str(tmp_path / "matcher"))[0]
+        state = ad.load_checkpoint(str(tmp_path / "matcher.state"))[0]
+        for name, p in m.named_parameters().items():
+            assert np.array_equal(p.data, best[name]), name
+        assert not np.array_equal(m.w_c.data, state["w_c"])
+
+
 class TestResumeBest:
     def test_resumed_run_ends_with_the_best_checkpoint(self, tmp_path, monkeypatch):
         # best at step 5, state saved at step 10; the resumed run's one
         # validation (step 15) does not beat it
-        h = TrainHarness()
+        h = TrainHarness(tmp_path)
         full, part = str(tmp_path / "full"), str(tmp_path / "part")
         monkeypatch.setattr(meta_trainer, "_validate", scripted_validation(0.5, 0.1, 0.1))
         assert h.run(checkpoint_path=full) == (0.5, 5)
@@ -331,7 +368,7 @@ class TestResumeBest:
         # patience 2: the best is at step 5, and the validations at 10 and 15
         # do not beat it, so training stops at 15. The interrupted run saves
         # its state at step 10, one validation into the patience count.
-        h = TrainHarness()
+        h = TrainHarness(tmp_path)
         cfg = small_config(seed=5, max_episodes=100, patience=2)
         full, part = [], []
         monkeypatch.setattr(meta_trainer, "_validate", scripted_validation(0.5, 0.1, 0.1))
@@ -352,7 +389,7 @@ class TestResumeBest:
         assert part == full
 
     def test_resume_under_another_config_is_refused(self, tmp_path):
-        h = TrainHarness()
+        h = TrainHarness(tmp_path)
         ckpt = str(tmp_path / "run")
         h.run(checkpoint_path=ckpt, config=small_config(seed=5, max_episodes=10))
         with pytest.raises(DataError, match=r"different config: dropout 0.0 != 0.1, lr "):
@@ -366,8 +403,8 @@ GROUPS = {"w_c", "b_c", "lstm.W_x", "lstm.W_h", "lstm.W_s", "lstm.b"}
 
 
 class TestEpisodeRecords:
-    def test_record_schema(self):
-        h = TrainHarness()
+    def test_record_schema(self, tmp_path):
+        h = TrainHarness(tmp_path)
         for trainable, groups in ((True, GROUPS | {"ent_emb", "rel_emb"}), (False, GROUPS)):
             records = []
             h.run(log_fn=records.append, matcher=h.matcher(trainable))
@@ -384,8 +421,8 @@ class TestEpisodeRecords:
                 assert all(isinstance(v, float) and v >= 0.0 for v in r["grad_norm"].values())
                 assert (r["grad_norm"]["w_c"] > 0) == (r["loss"] > 0)
 
-    def test_episode_encodes_once_and_matches_once(self, monkeypatch):
-        h = TrainHarness()
+    def test_episode_encodes_once_and_matches_once(self, tmp_path, monkeypatch):
+        h = TrainHarness(tmp_path)
         m = h.matcher()
         calls = []
         # (method, argument whose row count is checked): entity ids, query pairs
@@ -405,8 +442,8 @@ class TestEpisodeRecords:
                                            for e in pair}
         assert calls == [("encode_entities", len(entities)), ("match_scores", 8)]
 
-    def test_one_pass_loss_equals_separate_positive_and_negative_passes(self):
-        h = TrainHarness()
+    def test_one_pass_loss_equals_separate_positive_and_negative_passes(self, tmp_path):
+        h = TrainHarness(tmp_path)
         m = h.matcher()
         entry = TaskPool(h.train_tasks).get(1)
         episode = sample_episode(entry, 4, np.random.default_rng(2))
