@@ -566,6 +566,54 @@ def halving_schedule(half_every):
     return schedule
 
 
+# the layout of Adam.state_arrays, recorded in a training state's metadata
+MOMENT_LAYOUT = "touched-rows"
+
+
+class _Moments:
+    """Adam's first and second moments of one parameter.
+
+    They start row-sparse: ``slot`` maps each row of the parameter to its row
+    of the compact ``m`` and ``v`` (-1 until the row's first gradient), whose
+    first ``n`` rows are in use and which grow geometrically. A dense gradient
+    makes them dense for good: ``slot`` is None, and ``m`` and ``v`` have the
+    parameter's shape. A scalar has no rows, so its moments start dense.
+    """
+    __slots__ = ("slot", "n", "m", "v")
+
+    def __init__(self, shape):
+        self.n = 0
+        if shape:
+            self.slot = np.full(shape[0], -1, dtype=np.intp)
+            self.m, self.v = np.zeros((0,) + shape[1:]), np.zeros((0,) + shape[1:])
+        else:
+            self.slot, self.m, self.v = None, np.zeros(()), np.zeros(())
+
+    def slots(self, ids):
+        """The compact rows of the distinct row ``ids``; a row's first use
+        takes the next free slot, whose moments are zero."""
+        at = self.slot[ids]
+        new = at < 0
+        if new.any():
+            fresh = ids[new]
+            end = self.n + fresh.size
+            if end > len(self.m):
+                size = min(max(end, 2 * len(self.m)), self.slot.size)
+                self.m, self.v = (np.concatenate([a[:self.n],
+                                                  np.zeros((size - self.n,) + a.shape[1:])])
+                                  for a in (self.m, self.v))
+            at[new] = self.slot[fresh] = np.arange(self.n, end)
+            self.n = end
+        return at
+
+    def densify(self, shape):
+        ids = np.flatnonzero(self.slot >= 0)
+        at = self.slot[ids]
+        m, v = np.zeros(shape), np.zeros(shape)
+        m[ids], v[ids] = self.m[at], self.v[at]
+        self.slot, self.m, self.v = None, m, v
+
+
 class Adam:
     """Adam with bias correction over a list of parameter tensors.
 
@@ -574,6 +622,13 @@ class Adam:
     gradient keeps its value and its moments, and bias correction uses the
     global step count, as in ``torch.optim.SparseAdam`` and LazyAdam. A
     tensor without a gradient is left alone.
+
+    A parameter's moments follow the form of its gradients. While it gets
+    only row-sparse gradients, its moments are held for the rows they touched
+    (a row -> slot map and compact rows, see :class:`_Moments`), so a large
+    embedding table costs its touched rows, not two table-sized arrays. Its
+    first dense gradient gives it dense moments from then on. Both forms
+    compute every value with the same operations in the same order.
     """
 
     def __init__(self, params, lr=0.001, beta1=0.9, beta2=0.999, eps=1e-8, schedule=None):
@@ -584,13 +639,7 @@ class Adam:
         self.eps = eps
         self.schedule = schedule
         self.t = 0
-        # np.zeros, unlike zeros_like, leaves the pages unwritten until a
-        # step touches them. That saves less than it seems for a table:
-        # NumPy advises huge pages for large arrays, so where transparent
-        # huge pages are on for advised memory, one touched row faults in
-        # 2 MiB, and a few steps of random rows fault in most of the moments
-        self._m = [np.zeros(p.data.shape, dtype=p.data.dtype) for p in self.params]
-        self._v = [np.zeros(p.data.shape, dtype=p.data.dtype) for p in self.params]
+        self._moments = [_Moments(p.data.shape) for p in self.params]
 
     def current_lr(self):
         """Learning rate of the latest step (of the first one before any step)."""
@@ -602,15 +651,19 @@ class Adam:
         self.t += 1
         lr = self.current_lr()
         bias1, bias2 = 1.0 - self.beta1 ** self.t, 1.0 - self.beta2 ** self.t
-        for p, m, v in zip(self.params, self._m, self._v):
+        for p, mom in zip(self.params, self._moments):
             if p.grad is None:
                 continue
             if isinstance(p.grad, RowGrad):
                 rows, g = p.grad.coalesce()
-                m_r, v_r, p_r = m[rows], v[rows], p.data[rows]
+                at = rows if mom.slot is None else mom.slots(rows)
+                m, v = mom.m, mom.v
+                m_r, v_r, p_r = m[at], v[at], p.data[rows]
             else:
+                if mom.slot is not None:
+                    mom.densify(p.data.shape)
                 rows, g = None, p.grad
-                m_r, v_r, p_r = m, v, p.data
+                m_r, v_r, p_r = mom.m, mom.v, p.data
             # in place: the moments, then p -= lr * m_hat / (sqrt(v_hat) + eps)
             m_r *= self.beta1
             m_r += (1.0 - self.beta1) * g
@@ -623,11 +676,62 @@ class Adam:
             update /= denom
             p_r -= update
             if rows is not None:
-                m[rows], v[rows], p.data[rows] = m_r, v_r, p_r
+                m[at], v[at], p.data[rows] = m_r, v_r, p_r
 
     def zero_grad(self):
         for p in self.params:
             p.zero_grad()
+
+    def state_arrays(self):
+        """The moments by name, as a training state stores them.
+
+        Parameter i's moments are ``adam_m.i`` and ``adam_v.i``. Row-sparse
+        moments hold only the touched rows, in ascending row order, and
+        ``adam_rows.i`` lists those rows' ids as float64 (exact below 2**53).
+        The arrays therefore do not depend on the order rows were first
+        touched in. Dense moments are returned without a copy.
+        """
+        arrays = {}
+        for i, mom in enumerate(self._moments):
+            if mom.slot is None:
+                m, v = mom.m, mom.v
+            else:
+                ids = np.flatnonzero(mom.slot >= 0)
+                at = mom.slot[ids]
+                m, v = mom.m[at], mom.v[at]
+                arrays["adam_rows.%d" % i] = ids.astype(np.float64)
+            arrays["adam_m.%d" % i], arrays["adam_v.%d" % i] = m, v
+        return arrays
+
+    def load_state_arrays(self, arrays, path):
+        """Take over the moments of :meth:`state_arrays` read from the
+        checkpoint at ``path``, adopting the arrays without a copy.
+
+        Raises :class:`DataError` when a parameter's moments are missing or of
+        the wrong shape, or when its row ids are not distinct integer rows of
+        the parameter in ascending order.
+        """
+        for i, (p, mom) in enumerate(zip(self.params, self._moments)):
+            shape, ids = p.data.shape, arrays.get("adam_rows.%d" % i)
+            if ids is not None:
+                if not (shape and ids.ndim == 1 and np.all((0 <= ids) & (ids < shape[0]))
+                        and np.all(ids == np.floor(ids)) and np.all(np.diff(ids) > 0)):
+                    raise DataError("checkpoint %s: adam_rows.%d must list distinct integer "
+                                    "row ids below %d in ascending order"
+                                    % (path, i, shape[0] if shape else 0))
+                shape = (ids.size,) + shape[1:]
+            m, v = arrays.get("adam_m.%d" % i), arrays.get("adam_v.%d" % i)
+            for name, arr in (("adam_m", m), ("adam_v", v)):
+                if arr is None or arr.shape != shape:
+                    raise DataError("checkpoint %s: %s.%d has shape %s, expected %s"
+                                    % (path, name, i, None if arr is None else arr.shape, shape))
+            if ids is None:
+                mom.slot, mom.n = None, 0
+            else:
+                mom.slot = np.full(p.data.shape[0], -1, dtype=np.intp)
+                mom.slot[ids.astype(np.intp)] = np.arange(ids.size)
+                mom.n = ids.size
+            mom.m, mom.v = m, v
 
 
 # ---------------------------------------------------------------------------
@@ -663,52 +767,47 @@ def save_checkpoint(path, arrays, metadata=None):
                 os.remove(name + ".tmp")
 
 
-def load_checkpoint(path, format_version=None):
+def load_checkpoint(path, format_version=None, into=None):
     """Read a checkpoint written by :func:`save_checkpoint`; returns (arrays, metadata).
 
-    Each array is read from the blob into its own buffer. Raises
-    :class:`DataError` when a file is missing or unreadable, when the index
-    does not tile the blob exactly (integer shapes and offsets, each entry
-    starting where the one before it ends, the last ending at the end of
-    the blob), or when ``format_version`` is given and the metadata records
-    another one.
+    Each array is read from the blob into its own buffer, or, when ``into``
+    maps its name to a C-contiguous float64 array, straight into that array,
+    which ``arrays`` then holds: a model's parameters are read in place.
+    Before any array is read, the index is checked as
+    :func:`read_checkpoint_index` checks it, and every array of ``into``
+    must have an entry of its shape; a :class:`DataError` names the file.
     """
-    entries, metadata, n_bytes = read_checkpoint_index(path, format_version)
-    for offset, shape, name in entries:
-        if not all(type(n) is int and n >= 0 for n in (offset,) + shape):
-            raise DataError("checkpoint %s: %s has offset %r and shape %r; both must be "
-                            "non-negative integers" % (path, name, offset, list(shape)))
-    # in offset order (an empty entry before a full one at the same offset)
-    entries.sort(key=lambda e: (e[0], math.prod(e[1]), e[2]))
+    entries, metadata = read_checkpoint_index(path, format_version)
+    into = into or {}
+    shapes = {name: shape for _, shape, name in entries}
+    for name, target in into.items():
+        if shapes.get(name) != target.shape:
+            raise DataError("checkpoint %s: %s has shape %s, expected %s"
+                            % (path, name, shapes.get(name), target.shape))
     arrays = {}
-    end = 0
     try:
         with open(path + ".bin", "rb") as fh:
-            for offset, shape, name in entries:
-                if offset != end:
-                    raise DataError("checkpoint %s: %s starts at byte %d, not at byte %d "
-                                    "where the entry before it ends" % (path, name, offset, end))
-                end += 8 * math.prod(shape)
-                if end > n_bytes:
-                    raise DataError("checkpoint %s: %s runs past the end of its %d-byte blob"
-                                    % (path, name, n_bytes))
-                arr = np.empty(shape)
+            for _, shape, name in entries:
+                arr = into[name] if name in into else np.empty(shape)
                 if fh.readinto(arr) != arr.nbytes:
                     raise DataError("checkpoint %s: %s runs past the end of its blob"
                                     % (path, name))
                 arrays[name] = arr
     except (OSError, ValueError) as exc:        # ValueError: a shape too large to allocate
         raise DataError("cannot read checkpoint %s: %s" % (path, exc))
-    if end != n_bytes:
-        raise DataError("checkpoint %s: blob holds %d bytes, its index describes %d"
-                        % (path, n_bytes, end))
     return arrays, metadata
 
 
 def read_checkpoint_index(path, format_version=None):
-    """A checkpoint's index, checked as :func:`load_checkpoint` checks it up
-    to reading the arrays; returns (entries ``(offset, shape, name)``,
-    metadata, blob bytes)."""
+    """A checkpoint's index and metadata, checked without reading an array;
+    returns (entries ``(offset, shape, name)`` in offset order, metadata).
+
+    Raises :class:`DataError` when a file is missing or unreadable, when the
+    index does not tile the blob exactly (integer shapes and offsets, each
+    entry starting where the one before it ends, the last ending at the end
+    of the blob), or when ``format_version`` is given and the metadata
+    records another one.
+    """
     try:
         with open(path + ".json") as fh:
             header = json.load(fh)
@@ -720,7 +819,25 @@ def read_checkpoint_index(path, format_version=None):
     if format_version is not None and metadata.get("format_version") != format_version:
         raise DataError("checkpoint %s has format version %r, expected %r"
                         % (path, metadata.get("format_version"), format_version))
-    return entries, metadata, n_bytes
+    for offset, shape, name in entries:
+        if not all(type(n) is int and n >= 0 for n in (offset,) + shape):
+            raise DataError("checkpoint %s: %s has offset %r and shape %r; both must be "
+                            "non-negative integers" % (path, name, offset, list(shape)))
+    # in offset order (an empty entry before a full one at the same offset)
+    entries.sort(key=lambda e: (e[0], math.prod(e[1]), e[2]))
+    end = 0
+    for offset, shape, name in entries:
+        if offset != end:
+            raise DataError("checkpoint %s: %s starts at byte %d, not at byte %d "
+                            "where the entry before it ends" % (path, name, offset, end))
+        end += 8 * math.prod(shape)
+        if end > n_bytes:
+            raise DataError("checkpoint %s: %s runs past the end of its %d-byte blob"
+                            % (path, name, n_bytes))
+    if end != n_bytes:
+        raise DataError("checkpoint %s: blob holds %d bytes, its index describes %d"
+                        % (path, n_bytes, end))
+    return entries, metadata
 
 
 def checkpoint_exists(path):

@@ -148,7 +148,7 @@ def cmd_train_matcher(args):
                                  max_neighbors=cfg.max_neighbors)
     matcher = Matcher(table.dim, seed=cfg.seed, **{name: getattr(cfg, name) for name in SETTINGS})
     matcher.attach_table(export_vectors(table), trainable=cfg.train_embeddings)
-    del table       # the matcher holds its own copy
+    del table       # what the matcher did not adopt (RESCAL's relation matrices)
     with writing(args.out):
         os.makedirs(args.out, exist_ok=True)
         cfg.to_file(os.path.join(args.out, "run-config.txt"))

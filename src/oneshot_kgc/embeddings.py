@@ -350,11 +350,19 @@ def save_table(path, table):
 
 
 def load_table(path):
-    """A native table saved by :func:`save_table`; arrays of another shape
-    (an exported ComplEx or RESCAL table, say) are a data error."""
+    """A native table saved by :func:`save_table`. Metadata without a known
+    model and a positive integer dim, a file without the entities and
+    relations arrays (a matcher checkpoint, say), and arrays of another shape
+    (an exported ComplEx or RESCAL table) are data errors."""
     arrays, meta = autodiff.load_checkpoint(path)
-    table = EmbeddingTable(meta["model"], int(meta["dim"]),
-                           arrays["entities"], arrays["relations"], meta)
+    model, dim = meta.get("model"), meta.get("dim")
+    if model not in MODELS + ("random",) or type(dim) is not int or dim <= 0:
+        raise DataError("table %s is not an embedding table: its metadata records model %r "
+                        "and dim %r" % (path, model, dim))
+    if not {"entities", "relations"} <= arrays.keys():
+        raise DataError("table %s is not an embedding table: it holds no entities and "
+                        "relations arrays" % path)
+    table = EmbeddingTable(model, dim, arrays["entities"], arrays["relations"], meta)
     ent_shape, rel_shape = _native_shapes(table.model, table.dim)
     if table.ent.shape[1:] != ent_shape or table.rel.shape[1:] != rel_shape:
         raise DataError("table %s: arrays of shape %s and %s do not fit a native %s table "

@@ -67,13 +67,20 @@ class Matcher:
     # embedding table
 
     def attach_table(self, table, trainable=True):
-        """Install a unified 1-D embedding table (entities and relations)."""
+        """Install a unified 1-D embedding table (entities and relations).
+
+        The matcher adopts the table's arrays; it copies one only when it is
+        not a writable C-contiguous float64 array. Training updates a
+        trainable table in place, and a resume or the end of training reads
+        saved parameters into it, so a caller that uses the table afterwards
+        passes a copy.
+        """
         if table.ent.ndim != 2 or table.dim != self.dim:
             raise ConfigError("table dimension %s does not match matcher dim %d"
                               % (table.dim, self.dim))
-        self.ent_emb = ad.Tensor(np.array(table.ent, dtype=np.float64),
+        self.ent_emb = ad.Tensor(np.require(table.ent, np.float64, ["C", "W"]),
                                  requires_grad=trainable)
-        self.rel_emb = ad.Tensor(np.array(table.rel, dtype=np.float64),
+        self.rel_emb = ad.Tensor(np.require(table.rel, np.float64, ["C", "W"]),
                                  requires_grad=trainable)
         self.embeddings_trainable = trainable
         self.table_provenance = dict(table.metadata)
@@ -226,7 +233,8 @@ def assign_arrays(targets, arrays, path):
     """Copy each of ``arrays`` into the target array of the same name; every
     target must be present in ``arrays`` with its shape. A target that is
     the loaded array itself (a table :func:`load_matcher` installed) is not
-    copied."""
+    copied. Training needs no copy: it reads checkpoints straight into the
+    parameters (``load_checkpoint(..., into=...)``)."""
     for name, target in targets.items():
         arr = arrays.get(name)
         if arr is None or arr.shape != target.shape:

@@ -29,7 +29,7 @@ from .config import substream
 from .errors import DataError, NumericError
 from .evaluator import evaluate_tasks, matcher_score_fn
 from .graph_store import Triple
-from .matcher import FORMAT_VERSION, assign_arrays, hinge_loss, save_matcher
+from .matcher import FORMAT_VERSION, hinge_loss, save_matcher
 
 log = logging.getLogger(__name__)
 
@@ -138,24 +138,29 @@ def train(matcher, graph, train_tasks, valid_tasks, vocab, config, checkpoint_pa
     writes the model to ``checkpoint_path``, the only copy of the best
     parameters, and each validation a resumable state next to it. The
     matcher ends holding the parameters read back from there, or, when no
-    validation ran, its trained ones, which are then saved there.
+    validation ran, its trained ones, which are then saved there. The
+    state holds the parameters and Adam's moments (of a table, those of the
+    rows training touched). A resume and the final read-back read the
+    parameters straight into the matcher's arrays; a resume refused for the
+    state's metadata, index or shapes leaves them untouched.
     """
     pool = TaskPool(train_tasks)
     relations = pool.relations
     if not relations:
         raise DataError("no meta-train task relations to train on")
     check_valid_split(valid_tasks, config)
-    names = matcher.named_parameters()
+    # each parameter's array by checkpoint name; training updates them in place
+    params = {name: p.data for name, p in matcher.named_parameters().items()}
     opt = ad.Adam(matcher.parameters(), lr=config.lr,
                   schedule=ad.halving_schedule(config.lr_half_every))
     step, best_metric, best_step = 0, -1.0, -1
     state_path = checkpoint_path + ".state"
 
     if resume and ad.checkpoint_exists(state_path):
-        arrays, meta = ad.load_checkpoint(state_path, format_version=FORMAT_VERSION)
+        meta = ad.read_checkpoint_index(state_path, format_version=FORMAT_VERSION)[1]
         _check_resumable(state_path, meta, config)
-        assign_arrays(_state_arrays(names, opt), arrays, state_path)
-        del arrays      # not held through training
+        arrays = ad.load_checkpoint(state_path, format_version=FORMAT_VERSION, into=params)[0]
+        opt.load_state_arrays(arrays, state_path)
         step = int(meta["step"])
         opt.t = int(meta["opt_t"])
         best_metric = float(meta["best_metric"])
@@ -194,16 +199,15 @@ def train(matcher, graph, train_tasks, valid_tasks, vocab, config, checkpoint_pa
             if metrics["hits10"] > best_metric:
                 best_metric, best_step = metrics["hits10"], step
                 save_matcher(checkpoint_path, matcher)
-            ad.save_checkpoint(state_path, _state_arrays(names, opt),
+            ad.save_checkpoint(state_path, {**params, **opt.state_arrays()},
                                metadata={"format_version": FORMAT_VERSION, "step": step,
                                          "opt_t": opt.t, "best_metric": best_metric,
                                          "best_step": best_step,
+                                         "moment_layout": ad.MOMENT_LAYOUT,
                                          "config": _resumable_config(config)})
 
-    del opt     # its moments, before the best parameters are read back
     if best_step >= 0:
-        arrays, _ = ad.load_checkpoint(checkpoint_path, format_version=FORMAT_VERSION)
-        assign_arrays({name: p.data for name, p in names.items()}, arrays, checkpoint_path)
+        ad.load_checkpoint(checkpoint_path, format_version=FORMAT_VERSION, into=params)
     else:
         save_matcher(checkpoint_path, matcher)
     return best_metric, best_step
@@ -218,15 +222,6 @@ def resumed_step(checkpoint_path):
     if not isinstance(step, int):
         raise DataError("training state %s records no step" % state_path)
     return step
-
-
-def _state_arrays(names, opt):
-    """The arrays of a training state: the parameters, then Adam's moments."""
-    arrays = {name: p.data for name, p in names.items()}
-    for i in range(len(opt.params)):
-        arrays["adam_m.%d" % i] = opt._m[i]
-        arrays["adam_v.%d" % i] = opt._v[i]
-    return arrays
 
 
 def _episode_step(matcher, graph, episode, opt, config, rng):
@@ -266,6 +261,10 @@ def _resumable_config(config):
 
 
 def _check_resumable(state_path, meta, config):
+    if meta.get("moment_layout") != ad.MOMENT_LAYOUT:
+        raise DataError("training state %s records moment layout %r, not %r (the row-sparse "
+                        "Adam moments); it cannot be resumed"
+                        % (state_path, meta.get("moment_layout"), ad.MOMENT_LAYOUT))
     saved, current = meta.get("config"), _resumable_config(config)
     if not isinstance(saved, dict):
         raise DataError("training state %s records no run config; it cannot be resumed"

@@ -17,6 +17,7 @@ triple dumps, thousand-epoch pre-training); these scaled checks stand in
 for it.
 """
 
+import dataclasses
 import hashlib
 import os
 import time
@@ -253,7 +254,9 @@ def trained_run(ds, graph, transe_table, tmp_path_factory):
     cfg = RunConfig(dim=32, hidden=64, batch_size=32, eval_interval=500,
                     max_episodes=3000, dropout=0.3, seed=0)
     matcher = Matcher(32, steps=cfg.steps, dropout=cfg.dropout, seed=cfg.seed)
-    matcher.attach_table(transe_table, trainable=True)
+    # training updates the table it adopts in place, so it adopts a copy of the shared one
+    matcher.attach_table(dataclasses.replace(transe_table, ent=transe_table.ent.copy(),
+                                             rel=transe_table.rel.copy()), trainable=True)
     t0 = time.monotonic()
     best, best_step = train(matcher, graph, ds.tasks_for("train"),
                             ds.tasks_for("valid"), ds.vocab, cfg,

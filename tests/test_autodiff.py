@@ -4,6 +4,7 @@ import math
 import os
 import re
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -286,6 +287,53 @@ class TestGradMode:
         assert ad.grad_enabled()
 
 
+def row_grad(rng, n_rows, width, rows=8):
+    """A RowGrad over ``rows`` random ids, some repeated."""
+    g = ad.RowGrad()
+    ids = rng.integers(n_rows, size=rows)
+    g.add(ids, rng.normal(size=(rows, width)))
+    return g
+
+
+def dense_moments(opt, i):
+    """Adam's moments of parameter i as arrays of its shape (zero in rows it holds none for)."""
+    arrays = opt.state_arrays()
+    m, v = arrays["adam_m.%d" % i], arrays["adam_v.%d" % i]
+    if "adam_rows.%d" % i not in arrays:
+        return m, v
+    rows = arrays["adam_rows.%d" % i].astype(np.intp)
+    dense_m, dense_v = np.zeros(opt.params[i].data.shape), np.zeros(opt.params[i].data.shape)
+    dense_m[rows], dense_v[rows] = m, v
+    return dense_m, dense_v
+
+
+def dense_moment_adam(start, grads, lr, schedule, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Reference Adam with table-sized moments, updated in the rows each
+    gradient holds; returns the parameters and both moments."""
+    p, m, v = start.copy(), np.zeros_like(start), np.zeros_like(start)
+    for t, g in enumerate(grads, 1):
+        step_lr = lr * schedule(t)
+        bias1, bias2 = 1.0 - beta1 ** t, 1.0 - beta2 ** t
+        if isinstance(g, ad.RowGrad):
+            rows, g = g.coalesce()
+            m_r, v_r, p_r = m[rows], v[rows], p[rows]
+        else:
+            rows, m_r, v_r, p_r = None, m, v, p
+        m_r *= beta1
+        m_r += (1.0 - beta1) * g
+        v_r *= beta2
+        v_r += (1.0 - beta2) * g * g
+        update = m_r / bias1
+        update *= step_lr
+        denom = np.sqrt(v_r / bias2)
+        denom += eps
+        update /= denom
+        p_r -= update
+        if rows is not None:
+            m[rows], v[rows], p[rows] = m_r, v_r, p_r
+    return p, m, v
+
+
 class TestAdam:
     def test_zero_gradient_leaves_params_unchanged(self):
         p = ad.Tensor([1.0, -2.0], requires_grad=True)
@@ -328,15 +376,87 @@ class TestAdam:
         table = ad.Tensor(rng.normal(size=(6, 2)), requires_grad=True)
         opt = ad.Adam([table], lr=0.1)
         for ids in ([0, 3], [3, 5], [0]):
-            before = [a.copy() for a in (table.data, opt._m[0], opt._v[0])]
+            before = [a.copy() for a in (table.data, *dense_moments(opt, 0))]
             opt.zero_grad()
             ad.backward(ad.sum_all(ad.mul(ad.gather_rows(table, np.array(ids)), 3.0)))
             opt.step()
             untouched = [r for r in range(6) if r not in ids]
-            for now, then in zip((table.data, opt._m[0], opt._v[0]), before):
+            for now, then in zip((table.data, *dense_moments(opt, 0)), before):
                 assert np.array_equal(now[untouched], then[untouched])
                 assert not np.any(now[ids] == then[ids])
-        assert np.array_equal(opt._m[0][[1, 2, 4]], np.zeros((3, 2)))
+        assert np.array_equal(dense_moments(opt, 0)[0][[1, 2, 4]], np.zeros((3, 2)))
+
+    @pytest.mark.parametrize("kinds", ["rrrr", "rrdr", "drrd"])
+    def test_moments_equal_dense_moment_adam_bit_for_bit(self, kinds):
+        # r: a RowGrad, d: a dense gradient. Row-sparse moments turn dense
+        # at the first dense gradient and must give the same values throughout.
+        rng = np.random.default_rng(15)
+        start = rng.normal(size=(40, 3))
+        grads = [row_grad(rng, 40, 3) if k == "r" else rng.normal(size=(40, 3)) for k in kinds]
+        table = ad.Tensor(start.copy(), requires_grad=True)
+        opt = ad.Adam([table], lr=0.01, schedule=ad.halving_schedule(2))
+        for g in grads:
+            table.grad = g
+            opt.step()
+        want_p, want_m, want_v = dense_moment_adam(start, grads, 0.01, ad.halving_schedule(2))
+        assert np.array_equal(table.data, want_p)
+        got_m, got_v = dense_moments(opt, 0)
+        assert np.array_equal(got_m, want_m) and np.array_equal(got_v, want_v)
+        assert ("adam_rows.0" in opt.state_arrays()) == ("d" not in kinds)
+
+    def test_state_arrays_resume_like_one_run(self):
+        # rows are first touched in another order after the resume, but the
+        # state lists them in ascending order, so it is the same
+        rng = np.random.default_rng(16)
+        start = rng.normal(size=(30, 2))
+        grads = [row_grad(rng, 30, 2) for _ in range(4)] + [rng.normal(size=(30, 2))]
+        whole = ad.Tensor(start.copy(), requires_grad=True)
+        one = ad.Adam([whole, ad.Tensor(np.ones(3), requires_grad=True)], lr=0.01)
+        part = ad.Tensor(start.copy(), requires_grad=True)
+        first = ad.Adam([part, ad.Tensor(np.ones(3), requires_grad=True)], lr=0.01)
+        for t, g in enumerate(grads):
+            if t == 2:
+                resumed = ad.Adam([part, first.params[1]], lr=0.01)
+                resumed.load_state_arrays({k: a.copy() for k, a in first.state_arrays().items()},
+                                          "state")
+                resumed.t, first = first.t, resumed
+            for opt, p in ((one, whole), (first, part)):
+                p.grad = g
+                opt.params[1].grad = np.full(3, t + 1.0)
+                opt.step()
+            assert np.array_equal(part.data, whole.data)
+            got, want = first.state_arrays(), one.state_arrays()
+            assert sorted(got) == sorted(want)
+            assert all(np.array_equal(got[k], want[k]) for k in want)
+
+    @pytest.mark.parametrize("ids", [[0.5, 3.0], [2.0, 30.0], [-1.0, 2.0], [2.0, 2.0],
+                                     [3.0, 2.0], [np.nan, 2.0]],
+                             ids=["fractional", "past-the-end", "negative", "repeated",
+                                  "descending", "nan"])
+    def test_state_with_bad_row_ids_is_data_error(self, ids):
+        opt = ad.Adam([ad.Tensor(np.zeros((30, 2)), requires_grad=True)])
+        arrays = {"adam_rows.0": np.array(ids), "adam_m.0": np.zeros((2, 2)),
+                  "adam_v.0": np.zeros((2, 2))}
+        with pytest.raises(DataError, match="state: adam_rows.0 must list distinct integer "
+                                            "row ids below 30 in ascending order"):
+            opt.load_state_arrays(arrays, "state")
+
+    def test_row_sparse_moments_cost_the_touched_rows(self):
+        # three steps on 50 rows of a 200,000-row table: the moments are held
+        # for those rows (and a row -> slot map), not for the whole table
+        rng = np.random.default_rng(17)
+        table = ad.Tensor(np.zeros((200_000, 8)), requires_grad=True)
+        grads = [row_grad(rng, 200_000, 8, rows=50) for _ in range(3)]
+        tracemalloc.start()
+        try:
+            opt = ad.Adam([table])
+            for g in grads:
+                table.grad = g
+                opt.step()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.2 * table.data.nbytes, peak / table.data.nbytes
 
     def test_halving_schedule(self):
         sched = ad.halving_schedule(200000)

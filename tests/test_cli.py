@@ -4,6 +4,7 @@ import json
 import os
 import shutil
 
+import numpy as np
 import pytest
 
 from oneshot_kgc import autodiff as ad
@@ -245,6 +246,36 @@ class TestConfigSurface:
             assert "do not fit a native RESCAL table" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("edit", [
+        None,                                           # the run's matcher checkpoint
+        lambda arrays, meta: meta.pop("model"),
+        lambda arrays, meta: meta.update(model=["TransE"]),
+        lambda arrays, meta: meta.update(dim="16"),
+        lambda arrays, meta: arrays.pop("relations"),
+    ], ids=["matcher", "no-model", "list-model", "text-dim", "no-relations"])
+    def test_file_that_is_not_a_table_is_data_error(self, workdir, tmp_path, capsys, edit):
+        if edit is None:
+            table = os.path.join(workdir["run"], "matcher")
+        else:
+            table = str(tmp_path / "table")
+            arrays, meta = ad.load_checkpoint(workdir["table"])
+            edit(arrays, meta)
+            ad.save_checkpoint(table, arrays, metadata=meta)
+        argv = train_argv(workdir, str(tmp_path / "run"), 5)
+        argv[argv.index("--table") + 1] = table
+        capsys.readouterr()
+        for command in (argv, ["evaluate", "--dataset", workdir["ds"], "--table", table]):
+            assert main(command) == 2
+            err = capsys.readouterr().err
+            assert "table %s is not an embedding table" % table in err
+            assert "Traceback" not in err
+
+
+# the row ids of the tables' row-sparse Adam moments in a training state: the
+# tables are the last two of the optimizer's eight parameters
+TABLE_ROWS = ["adam_rows.6", "adam_rows.7"]
+
+
 def train_argv(workdir, out, episodes):
     return ["train-matcher", "--dataset", workdir["ds"], "--table", workdir["table"],
             "--out", out, "--set", "dim=16", "--set", "batch_size=8",
@@ -266,7 +297,15 @@ class TestResume:
             got = fh.read()
         assert got == want
         assert [json.loads(line)["step"] for line in got.splitlines()][-2:] == [15, 15]
-        assert sha(os.path.join(part, "matcher.bin")) == sha(os.path.join(whole, "matcher.bin"))
+        for name in ("matcher.bin", "matcher.json", "matcher.state.bin", "matcher.state.json"):
+            assert sha(os.path.join(part, name)) == sha(os.path.join(whole, name)), name
+        # the state of step 15 holds the resumed run's moments: the same
+        # touched rows of each table, and the same moments row for row
+        want = ad.load_checkpoint(os.path.join(whole, "matcher.state"))[0]
+        got = ad.load_checkpoint(os.path.join(part, "matcher.state"))[0]
+        assert sorted(n for n in got if n.startswith("adam_rows.")) == TABLE_ROWS
+        for name in want:
+            assert np.array_equal(got[name], want[name]), name
 
     def test_resume_with_another_lr_is_data_error(self, workdir, tmp_path, capsys):
         run = str(tmp_path / "run")
@@ -289,6 +328,51 @@ class TestResume:
             json.dump(header, fh)
         assert main(train_argv(workdir, run, 15) + ["--resume"]) == 2
         assert "records no run config" in capsys.readouterr().err
+
+    def test_resume_from_dense_moment_state_is_data_error(self, workdir, tmp_path, capsys):
+        # the layout of a state that keeps table-sized moments and no layout mark
+        run = str(tmp_path / "run")
+        assert main(train_argv(workdir, run, 10)) == 0
+        state = os.path.join(run, "matcher.state")
+        arrays, meta = ad.load_checkpoint(state)
+        for rows_name, table in zip(TABLE_ROWS, ("ent_emb", "rel_emb")):
+            rows = arrays.pop(rows_name).astype(np.intp)
+            for kind in ("adam_m", "adam_v"):
+                name = kind + rows_name[len("adam_rows"):]
+                dense = np.zeros(arrays[table].shape)
+                dense[rows] = arrays[name]
+                arrays[name] = dense
+        del meta["moment_layout"]
+        ad.save_checkpoint(state, arrays, metadata=meta)
+        with open(os.path.join(run, "training-log.jsonl")) as fh:
+            log = fh.read()
+        assert main(train_argv(workdir, run, 15) + ["--resume"]) == 2
+        err = capsys.readouterr().err
+        assert "training state %s records moment layout None" % state in err
+        assert "Traceback" not in err
+        with open(os.path.join(run, "training-log.jsonl")) as fh:
+            assert fh.read() == log
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda ids, n_rows: ids.__setitem__(0, ids[0] + 0.5),
+        lambda ids, n_rows: ids.__setitem__(-1, n_rows),
+        lambda ids, n_rows: ids.__setitem__(1, ids[0]),
+    ], ids=["fractional", "out-of-range", "repeated"])
+    def test_resume_from_state_with_bad_row_ids_is_data_error(self, workdir, tmp_path, capsys,
+                                                               corrupt):
+        run = str(tmp_path / "run")
+        assert main(train_argv(workdir, run, 10)) == 0
+        state = os.path.join(run, "matcher.state")
+        arrays, meta = ad.load_checkpoint(state)
+        ids = arrays[TABLE_ROWS[0]]
+        assert ids.size > 1
+        corrupt(ids, len(arrays["ent_emb"]))
+        ad.save_checkpoint(state, arrays, metadata=meta)
+        assert main(train_argv(workdir, run, 15) + ["--resume"]) == 2
+        err = capsys.readouterr().err
+        assert "checkpoint %s: %s must list distinct integer row ids below %d" \
+            % (state, TABLE_ROWS[0], len(arrays["ent_emb"])) in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("removed", ["matcher.bin", "matcher.json"])
     def test_resume_without_the_best_checkpoint_is_data_error(self, workdir, tmp_path, capsys,

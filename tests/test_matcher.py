@@ -32,6 +32,19 @@ class TestConstruction:
         with pytest.raises(ConfigError):
             Matcher(4, dropout=1.0)
 
+    def test_attach_table_adopts_the_arrays_it_can_train_in_place(self):
+        table = random_table(10, 4, 3, seed=1)
+        m = Matcher(3)
+        m.attach_table(table)
+        assert m.ent_emb.data is table.ent and m.rel_emb.data is table.rel
+        # a read-only or non-contiguous array is copied
+        ent, rel = np.asfortranarray(table.ent), table.rel.copy()
+        rel.flags.writeable = False
+        m.attach_table(EmbeddingTable("random", 3, ent, rel))
+        for got, given in ((m.ent_emb.data, ent), (m.rel_emb.data, rel)):
+            assert got is not given and np.array_equal(got, given)
+            assert got.flags.c_contiguous and got.flags.writeable
+
 
 class TestNeighborEncoder:
     def test_isolated_entity_encodes_to_zero(self):
