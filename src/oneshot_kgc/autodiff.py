@@ -26,9 +26,6 @@ import numpy as np
 
 from .errors import DataError, NumericError, writing
 
-# When True, every op output is checked for NaN/Inf and trips NumericError.
-CHECK_FINITE = True
-
 # Grad mode is per thread (and per async task), so one thread's no_grad block
 # never switches recording off for another.
 _grad_enabled = contextvars.ContextVar("grad_enabled", default=True)
@@ -149,7 +146,7 @@ def _tracked(t):
 
 def _make(data, op, parents, backward):
     """Create an op output, recording the backward closure when needed."""
-    if CHECK_FINITE and not np.all(np.isfinite(data)):
+    if not np.all(np.isfinite(data)):
         raise NumericError("non-finite values produced by op '%s'" % op)
     out = Tensor(data)
     out._op = op
@@ -735,49 +732,53 @@ class Adam:
 
 
 # ---------------------------------------------------------------------------
-# checkpoint format: one binary blob of float64 values plus a JSON index
+# checkpoint format: one file of a magic line giving the JSON header's length,
+# the header (spaces pad it to an 8-byte boundary), then the float64 arrays
+
+MAGIC = b"oneshot-kgc-checkpoint "
+MAGIC_LINE = len(MAGIC) + 11            # the magic, a 10-digit header length, "\n"
 
 
 def save_checkpoint(path, arrays, metadata=None):
-    """Write named arrays to ``path.bin`` with a JSON index at ``path.json``.
+    """Write named arrays, their index and ``metadata`` to the file ``path``.
 
-    The arrays are stored back to back in name order, each written from its
-    own buffer without a copy. Both files are written under temporary names
-    before either is moved into place, so a failed write (a DataError naming
-    the file) leaves the previous checkpoint whole.
+    The arrays go back to back in name order, each written from its own
+    buffer. The file is written under a temporary name and renamed into
+    place once, so a failed write (a DataError naming the file) leaves the
+    previous checkpoint whole.
     """
-    blob, header = path + ".bin", path + ".json"
-    index = {}
-    offset = 0
+    tmp = path + ".tmp"
     try:
-        with writing(blob + ".tmp"), open(blob + ".tmp", "wb") as fh:
-            for name in sorted(arrays):
-                arr = np.ascontiguousarray(np.asarray(arrays[name], dtype=np.float64))
-                fh.write(arr)
-                index[name] = {"offset": offset, "shape": list(arr.shape)}
-                offset += arr.nbytes
-        with writing(header + ".tmp"), open(header + ".tmp", "w") as fh:
-            json.dump({"params": index, "metadata": metadata or {}}, fh, indent=2, sort_keys=True)
-        for name in (blob, header):
-            with writing(name):
-                os.replace(name + ".tmp", name)
+        with writing(tmp):
+            arrays = {name: np.ascontiguousarray(np.asarray(arrays[name], dtype=np.float64))
+                      for name in sorted(arrays)}
+            offsets = np.cumsum([0] + [arr.nbytes for arr in arrays.values()]).tolist()
+            index = {name: {"offset": offset, "shape": list(arr.shape)}
+                     for (name, arr), offset in zip(arrays.items(), offsets)}
+            header = json.dumps({"params": index, "metadata": metadata or {}},
+                                indent=2, sort_keys=True).encode()
+            header += b" " * (-(MAGIC_LINE + len(header)) % 8)
+            with open(tmp, "wb") as fh:
+                fh.write(b"%s%010d\n%s" % (MAGIC, len(header), header))
+                for arr in arrays.values():
+                    fh.write(arr)
+            os.replace(tmp, path)
     finally:
-        for name in (blob, header):
-            if os.path.exists(name + ".tmp"):
-                os.remove(name + ".tmp")
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def load_checkpoint(path, format_version=None, into=None):
     """Read a checkpoint written by :func:`save_checkpoint`; returns (arrays, metadata).
 
-    Each array is read from the blob into its own buffer, or, when ``into``
-    maps its name to a C-contiguous float64 array, straight into that array,
-    which ``arrays`` then holds: a model's parameters are read in place.
-    Before any array is read, the index is checked as
-    :func:`read_checkpoint_index` checks it, and every array of ``into``
-    must have an entry of its shape; a :class:`DataError` names the file.
+    Each array is read into its own buffer, or, when ``into`` maps its name
+    to a C-contiguous float64 array, straight into that array, which
+    ``arrays`` then holds: a model's parameters are read in place. Before
+    any array is read, the header is checked by :func:`read_checkpoint_index`
+    and every array of ``into`` must have an entry of its shape; a
+    :class:`DataError` names the file.
     """
-    entries, metadata = read_checkpoint_index(path, format_version)
+    entries, metadata, start = read_checkpoint_index(path, format_version)
     into = into or {}
     shapes = {name: shape for _, shape, name in entries}
     for name, target in into.items():
@@ -786,11 +787,12 @@ def load_checkpoint(path, format_version=None, into=None):
                             % (path, name, shapes.get(name), target.shape))
     arrays = {}
     try:
-        with open(path + ".bin", "rb") as fh:
+        with open(path, "rb") as fh:
+            fh.seek(start)
             for _, shape, name in entries:
                 arr = into[name] if name in into else np.empty(shape)
                 if fh.readinto(arr) != arr.nbytes:
-                    raise DataError("checkpoint %s: %s runs past the end of its blob"
+                    raise DataError("checkpoint %s: %s runs past the end of the file"
                                     % (path, name))
                 arrays[name] = arr
     except (OSError, ValueError) as exc:        # ValueError: a shape too large to allocate
@@ -799,46 +801,51 @@ def load_checkpoint(path, format_version=None, into=None):
 
 
 def read_checkpoint_index(path, format_version=None):
-    """A checkpoint's index and metadata, checked without reading an array;
-    returns (entries ``(offset, shape, name)`` in offset order, metadata).
+    """A checkpoint's header, checked without reading an array; returns
+    (entries ``(offset, shape, name)`` in offset order, metadata, the byte
+    at which the arrays start).
 
-    Raises :class:`DataError` when a file is missing or unreadable, when the
-    index does not tile the blob exactly (integer shapes and offsets, each
-    entry starting where the one before it ends, the last ending at the end
-    of the blob), or when ``format_version`` is given and the metadata
-    records another one.
+    Raises :class:`DataError` when the file is missing, unreadable, without
+    the magic line or shorter than its header, when the index does not tile
+    the arrays exactly (integer shapes and offsets, each entry starting
+    where the one before it ends, the last at the end of the file), or when
+    ``format_version`` is given and the metadata records another one.
     """
     try:
-        with open(path + ".json") as fh:
-            header = json.load(fh)
-        n_bytes = os.path.getsize(path + ".bin")
+        with open(path, "rb") as fh:
+            magic, size = fh.read(MAGIC_LINE), os.fstat(fh.fileno()).st_size
+            if not (magic.startswith(MAGIC) and magic.endswith(b"\n")
+                    and magic[len(MAGIC):-1].isdigit()):
+                raise DataError("cannot read checkpoint %s: it does not start with %r"
+                                % (path, MAGIC.decode()))
+            start = MAGIC_LINE + int(magic[len(MAGIC):-1])
+            if start > size:
+                raise DataError("checkpoint %s: its header runs past the end of the file" % path)
+            header = json.loads(fh.read(start - MAGIC_LINE))
         index, metadata = header["params"], header.get("metadata", {})
         entries = [(e["offset"], tuple(e["shape"]), name) for name, e in index.items()]
+        version = metadata.get("format_version")
     except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
         raise DataError("cannot read checkpoint %s: %s" % (path, exc))
-    if format_version is not None and metadata.get("format_version") != format_version:
+    if format_version is not None and version != format_version:
         raise DataError("checkpoint %s has format version %r, expected %r"
-                        % (path, metadata.get("format_version"), format_version))
+                        % (path, version, format_version))
     for offset, shape, name in entries:
         if not all(type(n) is int and n >= 0 for n in (offset,) + shape):
             raise DataError("checkpoint %s: %s has offset %r and shape %r; both must be "
                             "non-negative integers" % (path, name, offset, list(shape)))
     # in offset order (an empty entry before a full one at the same offset)
     entries.sort(key=lambda e: (e[0], math.prod(e[1]), e[2]))
-    end = 0
+    n_bytes, end = size - start, 0
     for offset, shape, name in entries:
         if offset != end:
             raise DataError("checkpoint %s: %s starts at byte %d, not at byte %d "
                             "where the entry before it ends" % (path, name, offset, end))
         end += 8 * math.prod(shape)
         if end > n_bytes:
-            raise DataError("checkpoint %s: %s runs past the end of its %d-byte blob"
+            raise DataError("checkpoint %s: %s runs past the end of its %d bytes of arrays"
                             % (path, name, n_bytes))
     if end != n_bytes:
-        raise DataError("checkpoint %s: blob holds %d bytes, its index describes %d"
-                        % (path, n_bytes, end))
-    return entries, metadata
-
-
-def checkpoint_exists(path):
-    return os.path.exists(path + ".bin") and os.path.exists(path + ".json")
+        raise DataError("checkpoint %s: the file holds %d bytes of arrays, its index "
+                        "describes %d" % (path, n_bytes, end))
+    return entries, metadata, start

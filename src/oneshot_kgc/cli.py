@@ -282,8 +282,8 @@ def build_parser():
 
     p = sub.add_parser("evaluate", help="rank candidates and report MRR / Hits@K")
     p.add_argument("--dataset", required=True)
-    p.add_argument("--checkpoint", help="matcher checkpoint path prefix")
-    p.add_argument("--table", help="embedding table path prefix (baseline mode)")
+    p.add_argument("--checkpoint", help="matcher checkpoint file")
+    p.add_argument("--table", help="embedding table file (baseline mode)")
     p.add_argument("--split", choices=["valid", "test"], default="test")
     p.add_argument("--shots", type=int, default=1)
     p.add_argument("--filter-known", action="store_true",

@@ -340,7 +340,7 @@ def export_vectors(table):
 
 
 # ---------------------------------------------------------------------------
-# persistence (checkpoint blob + JSON metadata header)
+# persistence (one checkpoint file: a JSON metadata header, then the arrays)
 
 
 def save_table(path, table):

@@ -213,32 +213,19 @@ def save_matcher(path, matcher):
 
 
 def load_matcher(path):
-    arrays, meta = ad.load_checkpoint(path, format_version=FORMAT_VERSION)
+    """The matcher at ``path``: it reads its tensors in place and adopts the table."""
+    meta = ad.read_checkpoint_index(path, format_version=FORMAT_VERSION)[1]
     try:
         m = Matcher(int(meta["dim"]), **{name: meta[name] for name in SETTINGS})
         trainable = bool(meta["embeddings_trainable"])
     except (KeyError, TypeError, ValueError, ConfigError) as exc:
         raise DataError("checkpoint %s: bad metadata: %s" % (path, exc))
+    arrays = ad.load_checkpoint(path, format_version=FORMAT_VERSION,
+                                into={name: t.data for name, t in m.named_parameters().items()})[0]
     if not {"ent_emb", "rel_emb"} <= arrays.keys():
         raise DataError("checkpoint %s: no embedding table (ent_emb and rel_emb)" % path)
     m.ent_emb = ad.Tensor(arrays["ent_emb"], requires_grad=trainable)
     m.rel_emb = ad.Tensor(arrays["rel_emb"], requires_grad=trainable)
     m.embeddings_trainable = trainable
     m.table_provenance = meta.get("table_provenance", {})
-    assign_arrays({name: t.data for name, t in m.named_parameters().items()}, arrays, path)
     return m
-
-
-def assign_arrays(targets, arrays, path):
-    """Copy each of ``arrays`` into the target array of the same name; every
-    target must be present in ``arrays`` with its shape. A target that is
-    the loaded array itself (a table :func:`load_matcher` installed) is not
-    copied. Training needs no copy: it reads checkpoints straight into the
-    parameters (``load_checkpoint(..., into=...)``)."""
-    for name, target in targets.items():
-        arr = arrays.get(name)
-        if arr is None or arr.shape != target.shape:
-            raise DataError("checkpoint %s: %s has shape %s, expected %s"
-                            % (path, name, None if arr is None else arr.shape, target.shape))
-        if arr is not target:
-            target[...] = arr

@@ -20,6 +20,7 @@ from __future__ import annotations
 import bisect
 import json
 import logging
+import os
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -156,15 +157,13 @@ def train(matcher, graph, train_tasks, valid_tasks, vocab, config, checkpoint_pa
     step, best_metric, best_step = 0, -1.0, -1
     state_path = checkpoint_path + ".state"
 
-    if resume and ad.checkpoint_exists(state_path):
+    if resume and os.path.exists(state_path):
         meta = ad.read_checkpoint_index(state_path, format_version=FORMAT_VERSION)[1]
         _check_resumable(state_path, meta, config)
         arrays = ad.load_checkpoint(state_path, format_version=FORMAT_VERSION, into=params)[0]
         opt.load_state_arrays(arrays, state_path)
-        step = int(meta["step"])
-        opt.t = int(meta["opt_t"])
+        step, opt.t, best_step = meta["step"], meta["opt_t"], meta["best_step"]
         best_metric = float(meta["best_metric"])
-        best_step = int(meta["best_step"])
         log.info("resumed from step %d", step)
         if best_step >= 0:
             # the run ends by reading the best checkpoint back; refuse one
@@ -216,11 +215,11 @@ def train(matcher, graph, train_tasks, valid_tasks, vocab, config, checkpoint_pa
 def resumed_step(checkpoint_path):
     """The step a resume from ``checkpoint_path`` starts at; None without a state."""
     state_path = checkpoint_path + ".state"
-    if not ad.checkpoint_exists(state_path):
+    if not os.path.exists(state_path):
         return None
     step = ad.read_checkpoint_index(state_path)[1].get("step")
-    if not isinstance(step, int):
-        raise DataError("training state %s records no step" % state_path)
+    if type(step) is not int or step < 0:
+        raise DataError("training state %s: step %r is not an integer >= 0" % (state_path, step))
     return step
 
 
@@ -261,6 +260,13 @@ def _resumable_config(config):
 
 
 def _check_resumable(state_path, meta, config):
+    for name, least in (("step", 0), ("opt_t", 0), ("best_step", -1)):
+        if type(meta.get(name)) is not int or meta[name] < least:
+            raise DataError("training state %s: %s %r is not an integer >= %d"
+                            % (state_path, name, meta.get(name), least))
+    if type(meta.get("best_metric")) not in (int, float) or not np.isfinite(meta["best_metric"]):
+        raise DataError("training state %s: best_metric %r is not a real number"
+                        % (state_path, meta.get("best_metric")))
     if meta.get("moment_layout") != ad.MOMENT_LAYOUT:
         raise DataError("training state %s records moment layout %r, not %r (the row-sparse "
                         "Adam moments); it cannot be resumed"

@@ -31,6 +31,7 @@ step. The program computes the same functions in fewer operations; the
 tests compare the two within a tolerance fixed from float64 rounding.
 """
 
+import errno
 import json
 import os
 from collections import Counter, defaultdict
@@ -286,11 +287,68 @@ def load_dataset(dataset_dir):
 
 
 def save_checkpoint_bytes(path, arrays):
-    """The blob :func:`oneshot_kgc.autodiff.save_checkpoint` writes, made
-    with ``tobytes`` one array at a time."""
+    """The array section :func:`oneshot_kgc.autodiff.save_checkpoint` writes,
+    made with ``tobytes`` one array at a time."""
     with open(path, "wb") as fh:
         for name in sorted(arrays):
             fh.write(np.ascontiguousarray(np.asarray(arrays[name], dtype=np.float64)).tobytes())
+
+
+# the first line of a checkpoint file: the magic and the header's length in bytes
+CHECKPOINT_MAGIC = b"oneshot-kgc-checkpoint %010d\n"
+
+
+def split_checkpoint(path):
+    """(header, array section) of the checkpoint file at ``path``: the JSON
+    header whose length the magic line gives, and the bytes after it."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    line = len(CHECKPOINT_MAGIC % 0)
+    end = line + int(data[line - 11:line - 1])
+    return json.loads(data[line:end]), data[end:]
+
+
+def rewrite_header(path, edit):
+    """Rewrite the header of the checkpoint file at ``path`` after ``edit``
+    has changed it in place, padded with spaces to an 8-byte boundary, and
+    keep its array section's bytes."""
+    header, arrays = split_checkpoint(path)
+    edit(header)
+    text = json.dumps(header, indent=2, sort_keys=True).encode()
+    text += b" " * (-(len(CHECKPOINT_MAGIC % 0) + len(text)) % 8)
+    with open(path, "wb") as fh:
+        fh.write(CHECKPOINT_MAGIC % len(text) + text + arrays)
+
+
+class FullDisk:
+    """A file open for writing that takes ``room`` more bytes, then fails as
+    a full disk does."""
+
+    def __init__(self, fh, room):
+        self.fh, self.room = fh, room
+
+    def write(self, data):
+        size = memoryview(data).nbytes
+        if size > self.room:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        self.room -= size
+        return self.fh.write(data)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+def fill_disk(monkeypatch, path, room):
+    """Make the checkpoint writer's file ``path`` a :class:`FullDisk` with
+    ``room`` bytes; every other file opens as usual."""
+    def open_file(name, mode="r", *args, **kwargs):
+        fh = open(name, mode, *args, **kwargs)
+        return FullDisk(fh, room) if name == path else fh
+
+    monkeypatch.setattr(ad, "open", open_file, raising=False)
 
 
 # ---------------------------------------------------------------------------

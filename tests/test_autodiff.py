@@ -485,8 +485,8 @@ class TestCheckpoint:
                   "strided": rng.standard_normal((6, 4))[::2, 1:]}
         ad.save_checkpoint(path, arrays)
         reference.save_checkpoint_bytes(str(tmp_path / "want.bin"), arrays)
-        with open(path + ".bin", "rb") as got, open(str(tmp_path / "want.bin"), "rb") as want:
-            assert got.read() == want.read()
+        with open(str(tmp_path / "want.bin"), "rb") as want:
+            assert reference.split_checkpoint(path)[1] == want.read()
         loaded, _ = ad.load_checkpoint(path)
         for name, arr in arrays.items():
             assert np.array_equal(loaded[name].reshape(np.shape(arr)), arr)
@@ -503,12 +503,12 @@ class TestCheckpoint:
     def test_index_must_tile_the_blob(self, tmp_path, offsets, message):
         path = str(tmp_path / "ckpt")
         ad.save_checkpoint(path, {"a": np.arange(6.0), "b": np.arange(1.0)})
-        with open(path + ".json") as fh:
-            header = json.load(fh)
-        for name, offset in offsets.items():
-            header["params"][name]["offset"] = offset
-        with open(path + ".json", "w") as fh:
-            json.dump(header, fh)
+
+        def move(header):
+            for name, offset in offsets.items():
+                header["params"][name]["offset"] = offset
+
+        reference.rewrite_header(path, move)
         with pytest.raises(DataError, match=message):
             ad.load_checkpoint(path)
 
@@ -516,19 +516,19 @@ class TestCheckpoint:
         path = str(tmp_path / "ckpt")
         ad.save_checkpoint(path, {"a": np.arange(6.0)})
         for shape in ([2, -3], [6.0], "6", [0, 2 ** 70]):
-            with open(path + ".json", "w") as fh:
-                json.dump({"params": {"a": {"offset": 0, "shape": shape}}}, fh)
+            reference.rewrite_header(path, lambda header: header.update(
+                params={"a": {"offset": 0, "shape": shape}}))
             with pytest.raises(DataError, match="checkpoint"):
                 ad.load_checkpoint(path)
 
     def test_blob_size_checked_against_index(self, tmp_path):
         path = str(tmp_path / "ckpt")
         ad.save_checkpoint(path, {"a": np.arange(6.0)})
-        with open(path + ".bin", "r+b") as fh:
-            fh.truncate(40)
+        with open(path, "r+b") as fh:
+            fh.truncate(os.path.getsize(path) - 48 + 40)
         with pytest.raises(DataError, match="runs past the end"):
             ad.load_checkpoint(path)
-        with open(path + ".bin", "ab") as fh:
+        with open(path, "ab") as fh:
             fh.write(bytes(16))
         with pytest.raises(DataError, match="index describes 48"):
             ad.load_checkpoint(path)
@@ -550,32 +550,81 @@ class TestCheckpoint:
             def __array__(self, dtype=None, copy=None):
                 raise OSError("disk full")
 
-        want = re.escape("cannot write %s.bin.tmp: disk full" % path)
+        want = re.escape("cannot write %s.tmp: disk full" % path)
         with pytest.raises(DataError, match=want):
             ad.save_checkpoint(path, {"a": np.zeros(5), "b": Unwritable()},
                                metadata={"n": 2})
         arrays, meta = ad.load_checkpoint(path)
         assert arrays["a"].tolist() == [0.0, 1.0, 2.0] and meta == {"n": 1}
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt.bin", "ckpt.json"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt"]
 
     def test_failed_index_write_keeps_the_previous_blob(self, tmp_path, monkeypatch):
-        # the new blob is written in full, but it must not replace the old
-        # one before the new index is written too
+        # the disk fills after the new header: the half-written file must not
+        # replace the old one
         path = str(tmp_path / "ckpt")
         ad.save_checkpoint(path, {"a": np.arange(3.0)}, metadata={"n": 1})
-        with open(path + ".bin", "rb") as fh:
+        with open(path, "rb") as fh:
             blob = fh.read()
-
-        def no_space(obj, fh, **kw):
-            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-
-        monkeypatch.setattr(json, "dump", no_space)
-        want = re.escape("cannot write %s.json.tmp: No space left" % path)
+        reference.fill_disk(monkeypatch, path + ".tmp", room=len(blob) - 8 * 3)
+        want = re.escape("cannot write %s.tmp: No space left" % path)
         with pytest.raises(DataError, match=want):
             ad.save_checkpoint(path, {"a": np.arange(5.0)}, metadata={"n": 2})
         monkeypatch.undo()
-        with open(path + ".bin", "rb") as fh:
+        with open(path, "rb") as fh:
             assert fh.read() == blob
         arrays, meta = ad.load_checkpoint(path)
         assert arrays["a"].tolist() == [0.0, 1.0, 2.0] and meta == {"n": 1}
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt.bin", "ckpt.json"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt"]
+
+    def test_failed_rename_keeps_the_previous_checkpoint(self, tmp_path, monkeypatch):
+        # the new file is written in full, but it cannot be moved into place
+        path = str(tmp_path / "ckpt")
+        ad.save_checkpoint(path, {"a": np.arange(3.0)}, metadata={"n": 1})
+
+        def no_space(src, dst):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(os, "replace", no_space)
+        want = re.escape("cannot write %s.tmp: No space left" % path)
+        with pytest.raises(DataError, match=want):
+            ad.save_checkpoint(path, {"a": np.arange(5.0)}, metadata={"n": 2})
+        monkeypatch.undo()
+        arrays, meta = ad.load_checkpoint(path)
+        assert arrays["a"].tolist() == [0.0, 1.0, 2.0] and meta == {"n": 1}
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt"]
+
+    @pytest.mark.parametrize("damage, message", [
+        (lambda data: b"not a checkpoint\n" + data, "does not start with 'oneshot-kgc-checkpoint '"),
+        (lambda data: data[:23] + b"9999999999" + data[33:], "header runs past the end"),
+        (lambda data: data[:23] + b"00000000x1" + data[33:], "does not start with"),
+        (lambda data: data[:30], "does not start with"),
+    ], ids=["magic", "header-length", "digits", "short"])
+    def test_file_without_a_whole_magic_line_and_header_is_data_error(self, tmp_path, damage,
+                                                                      message):
+        path = str(tmp_path / "ckpt")
+        ad.save_checkpoint(path, {"a": np.arange(3.0)}, metadata={"n": 1})
+        with open(path, "rb") as fh:
+            data = fh.read()
+        with open(path, "wb") as fh:
+            fh.write(damage(data))
+        with pytest.raises(DataError, match=re.escape(message)):
+            ad.load_checkpoint(path)
+
+    def test_header_is_indented_json_before_8_byte_aligned_arrays(self, tmp_path):
+        # ``head`` shows the index and the metadata, keys sorted
+        path = str(tmp_path / "ckpt")
+        ad.save_checkpoint(path, {"b": np.arange(3.0), "a": np.ones((2, 2))},
+                           metadata={"kind": "test"})
+        with open(path, "rb") as fh:
+            data = fh.read()
+        header, section = reference.split_checkpoint(path)
+        assert header == {"metadata": {"kind": "test"},
+                          "params": {"a": {"offset": 0, "shape": [2, 2]},
+                                     "b": {"offset": 32, "shape": [3]}}}
+        text = json.dumps(header, indent=2, sort_keys=True).encode()
+        assert data.startswith(b"oneshot-kgc-checkpoint ")
+        assert data[data.index(b"\n") + 1:].startswith(text)
+        start = len(data) - len(section)
+        assert start % 8 == 0 and ad.read_checkpoint_index(path)[2] == start
+        assert section == np.ones(4).tobytes() + np.arange(3.0).tobytes()
+

@@ -1,4 +1,3 @@
-import errno
 import hashlib
 import json
 import os
@@ -6,6 +5,7 @@ import shutil
 
 import numpy as np
 import pytest
+import reference
 
 from oneshot_kgc import autodiff as ad
 from oneshot_kgc.cli import main
@@ -60,8 +60,8 @@ class TestPipeline:
 
     def test_run_directory_artifacts(self, workdir):
         run = workdir["run"]
-        assert os.path.exists(os.path.join(run, "run-config.txt"))
-        assert os.path.exists(os.path.join(run, "matcher.bin"))
+        assert sorted(os.listdir(run)) == ["matcher", "matcher.state", "run-config.txt",
+                                           "training-log.jsonl"]
         with open(os.path.join(run, "run-config.txt")) as fh:
             text = fh.read()
         assert "dim = 16" in text
@@ -297,7 +297,7 @@ class TestResume:
             got = fh.read()
         assert got == want
         assert [json.loads(line)["step"] for line in got.splitlines()][-2:] == [15, 15]
-        for name in ("matcher.bin", "matcher.json", "matcher.state.bin", "matcher.state.json"):
+        for name in ("matcher", "matcher.state"):
             assert sha(os.path.join(part, name)) == sha(os.path.join(whole, name)), name
         # the state of step 15 holds the resumed run's moments: the same
         # touched rows of each table, and the same moments row for row
@@ -321,11 +321,7 @@ class TestResume:
         run = str(tmp_path / "run")
         assert main(train_argv(workdir, run, 10)) == 0
         state = os.path.join(run, "matcher.state")
-        with open(state + ".json") as fh:
-            header = json.load(fh)
-        del header["metadata"]["config"]
-        with open(state + ".json", "w") as fh:
-            json.dump(header, fh)
+        reference.rewrite_header(state, lambda header: header["metadata"].pop("config"))
         assert main(train_argv(workdir, run, 15) + ["--resume"]) == 2
         assert "records no run config" in capsys.readouterr().err
 
@@ -374,16 +370,19 @@ class TestResume:
             % (state, TABLE_ROWS[0], len(arrays["ent_emb"])) in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("removed", ["matcher.bin", "matcher.json"])
+    @pytest.mark.parametrize("damage", [
+        os.remove,
+        lambda path: write_bytes(path, reference.split_checkpoint(path)[1]),
+    ], ids=["removed", "arrays-only"])
     def test_resume_without_the_best_checkpoint_is_data_error(self, workdir, tmp_path, capsys,
-                                                              removed):
+                                                              damage):
         # the state records a best step, and the run would end by reading
         # that checkpoint back: it is refused before the first episode
         run = str(tmp_path / "run")
         assert main(train_argv(workdir, run, 10)) == 0
         with open(os.path.join(run, "training-log.jsonl")) as fh:
             log = fh.read()
-        os.remove(os.path.join(run, removed))
+        damage(os.path.join(run, "matcher"))
         assert main(train_argv(workdir, run, 15) + ["--resume"]) == 2
         assert "cannot read checkpoint %s" % os.path.join(run, "matcher") \
             in capsys.readouterr().err
@@ -391,27 +390,58 @@ class TestResume:
             assert fh.read() == log
 
     def test_failed_state_write_is_data_error(self, workdir, tmp_path, capsys, monkeypatch):
-        # the resumed run's state index cannot be written: the previous state
-        # stays whole, and a later resume starts from it
+        # the disk fills halfway through the resumed run's state: the previous
+        # state stays whole, and a later resume starts from it
         run = str(tmp_path / "run")
         assert main(train_argv(workdir, run, 5)) == 0
         state = os.path.join(run, "matcher.state")
-        blob = sha(state + ".bin")
-        dump = json.dump
-
-        def no_space(obj, fh, **kw):
-            if fh.name == state + ".json.tmp":
-                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-            dump(obj, fh, **kw)
-
-        monkeypatch.setattr(json, "dump", no_space)
+        blob = sha(state)
+        reference.fill_disk(monkeypatch, state + ".tmp", room=os.path.getsize(state) // 2)
         assert main(train_argv(workdir, run, 10) + ["--resume"]) == 2
         err = capsys.readouterr().err
-        assert "cannot write %s.json.tmp: No space left on device" % state in err
+        assert "cannot write %s.tmp: No space left on device" % state in err
         assert "Traceback" not in err
         monkeypatch.undo()
-        assert sha(state + ".bin") == blob
+        assert sha(state) == blob
         assert ad.load_checkpoint(state)[1]["step"] == 5
+        assert not os.path.exists(state + ".tmp")
+
+    @pytest.fixture(scope="class")
+    def saved_state(self, workdir, tmp_path_factory):
+        run = str(tmp_path_factory.mktemp("state") / "run")
+        assert main(train_argv(workdir, run, 10)) == 0
+        return run
+
+    @pytest.mark.parametrize("name, value", [
+        ("step", None), ("step", "5"), ("step", -1), ("step", True),
+        ("opt_t", None), ("opt_t", 1.5), ("opt_t", -3),
+        ("best_step", None), ("best_step", "5"), ("best_step", -2),
+        ("best_metric", None), ("best_metric", "0.5"), ("best_metric", [0.5]),
+    ])
+    @pytest.mark.parametrize("with_log", [True, False], ids=["log", "no-log"])
+    def test_resume_from_state_with_bad_counts_is_data_error(self, workdir, saved_state,
+                                                             tmp_path, capsys, name, value,
+                                                             with_log):
+        # None stands for a state that records no such field
+        run = str(tmp_path / "run")
+        shutil.copytree(saved_state, run)
+        state = os.path.join(run, "matcher.state")
+        log_path = os.path.join(run, "training-log.jsonl")
+        if not with_log:
+            os.remove(log_path)
+
+        def edit(header):
+            header["metadata"][name] = value
+            if value is None:
+                del header["metadata"][name]
+
+        reference.rewrite_header(state, edit)
+        log = sha(log_path) if with_log else None
+        assert main(train_argv(workdir, run, 15) + ["--resume"]) == 2
+        err = capsys.readouterr().err
+        assert "training state %s: %s %r is not" % (state, name, value) in err
+        assert "Traceback" not in err
+        assert (sha(log_path) if os.path.exists(log_path) else None) == log
 
 
 def copy_run(workdir, tmp_path):
@@ -420,32 +450,35 @@ def copy_run(workdir, tmp_path):
     return run
 
 
+def write_bytes(path, data):
+    with open(path, "wb") as fh:
+        fh.write(data)
+
+
 def set_format_version(path, version):
-    with open(path + ".json") as fh:
-        header = json.load(fh)
-    if version is None:
-        del header["metadata"]["format_version"]
-    else:
-        header["metadata"]["format_version"] = version
-    with open(path + ".json", "w") as fh:
-        json.dump(header, fh)
+    def edit(header):
+        if version is None:
+            del header["metadata"]["format_version"]
+        else:
+            header["metadata"]["format_version"] = version
+
+    reference.rewrite_header(path, edit)
 
 
 def truncate_blob(path):
-    with open(path + ".bin", "r+b") as fh:
-        fh.truncate(os.path.getsize(path + ".bin") - 200)
+    with open(path, "r+b") as fh:
+        fh.truncate(os.path.getsize(path) - 200)
 
 
 def move_entry(path, move):
     """Give the checkpoint entries, in offset order, the offsets ``move`` maps
     their list of offsets to."""
-    with open(path + ".json") as fh:
-        header = json.load(fh)
-    entries = sorted(header["params"].values(), key=lambda e: e["offset"])
-    for entry, offset in zip(entries, move([e["offset"] for e in entries])):
-        entry["offset"] = offset
-    with open(path + ".json", "w") as fh:
-        json.dump(header, fh)
+    def edit(header):
+        entries = sorted(header["params"].values(), key=lambda e: e["offset"])
+        for entry, offset in zip(entries, move([e["offset"] for e in entries])):
+            entry["offset"] = offset
+
+    reference.rewrite_header(path, edit)
 
 
 class TestCheckpointValidation:
@@ -484,6 +517,35 @@ class TestCheckpointValidation:
         assert self.evaluate(workdir, checkpoint) == 2
         err = capsys.readouterr().err
         assert "data error: checkpoint %s" % checkpoint in err and message in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("damage, message", [
+        (lambda data: b"{}\n" + data, "does not start with 'oneshot-kgc-checkpoint '"),
+        (lambda data: data[:23] + b"9999999999" + data[33:], "header runs past the end"),
+    ], ids=["magic", "header-length"])
+    def test_file_that_is_not_a_checkpoint_is_data_error(self, workdir, tmp_path, capsys,
+                                                         damage, message):
+        checkpoint = os.path.join(copy_run(workdir, tmp_path), "matcher")
+        with open(checkpoint, "rb") as fh:
+            data = fh.read()
+        write_bytes(checkpoint, damage(data))
+        assert self.evaluate(workdir, checkpoint) == 2
+        err = capsys.readouterr().err
+        assert "checkpoint %s: " % checkpoint in err and message in err
+        assert "Traceback" not in err
+
+    def test_two_file_checkpoint_is_data_error(self, workdir, tmp_path, capsys):
+        # the layout of earlier versions: the arrays in matcher.bin, the
+        # header in matcher.json
+        checkpoint = os.path.join(copy_run(workdir, tmp_path), "matcher")
+        header, arrays = reference.split_checkpoint(checkpoint)
+        write_bytes(checkpoint + ".bin", arrays)
+        with open(checkpoint + ".json", "w") as fh:
+            json.dump(header, fh, indent=2, sort_keys=True)
+        os.remove(checkpoint)
+        assert self.evaluate(workdir, checkpoint) == 2
+        err = capsys.readouterr().err
+        assert "cannot read checkpoint %s: " % checkpoint in err
         assert "Traceback" not in err
 
     def test_resume_from_truncated_state_is_data_error(self, workdir, tmp_path, capsys):
