@@ -264,8 +264,8 @@ def _check_resumable(state_path, meta, config):
         if type(meta.get(name)) is not int or meta[name] < least:
             raise DataError("training state %s: %s %r is not an integer >= %d"
                             % (state_path, name, meta.get(name), least))
-    if type(meta.get("best_metric")) not in (int, float) or not np.isfinite(meta["best_metric"]):
-        raise DataError("training state %s: best_metric %r is not a real number"
+    if type(meta.get("best_metric")) not in (int, float) or not -1 <= meta["best_metric"] <= 1:
+        raise DataError("training state %s: best_metric %r is not a number in [-1, 1]"
                         % (state_path, meta.get("best_metric")))
     if meta.get("moment_layout") != ad.MOMENT_LAYOUT:
         raise DataError("training state %s records moment layout %r, not %r (the row-sparse "

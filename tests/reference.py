@@ -304,7 +304,7 @@ def split_checkpoint(path):
     with open(path, "rb") as fh:
         data = fh.read()
     line = len(CHECKPOINT_MAGIC % 0)
-    end = line + int(data[line - 11:line - 1])
+    end = line + int(data[line - 11:line - 1])        # the 10 digits before the newline
     return json.loads(data[line:end]), data[end:]
 
 

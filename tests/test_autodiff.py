@@ -594,7 +594,8 @@ class TestCheckpoint:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt"]
 
     @pytest.mark.parametrize("damage, message", [
-        (lambda data: b"not a checkpoint\n" + data, "does not start with 'oneshot-kgc-checkpoint '"),
+        (lambda data: b"not a checkpoint\n" + data,
+         "does not start with 'oneshot-kgc-checkpoint '"),
         (lambda data: data[:23] + b"9999999999" + data[33:], "header runs past the end"),
         (lambda data: data[:23] + b"00000000x1" + data[33:], "does not start with"),
         (lambda data: data[:30], "does not start with"),

@@ -417,6 +417,7 @@ class TestResume:
         ("opt_t", None), ("opt_t", 1.5), ("opt_t", -3),
         ("best_step", None), ("best_step", "5"), ("best_step", -2),
         ("best_metric", None), ("best_metric", "0.5"), ("best_metric", [0.5]),
+        ("best_metric", 10 ** 20), ("best_metric", float("nan")),
     ])
     @pytest.mark.parametrize("with_log", [True, False], ids=["log", "no-log"])
     def test_resume_from_state_with_bad_counts_is_data_error(self, workdir, saved_state,
@@ -429,13 +430,7 @@ class TestResume:
         log_path = os.path.join(run, "training-log.jsonl")
         if not with_log:
             os.remove(log_path)
-
-        def edit(header):
-            header["metadata"][name] = value
-            if value is None:
-                del header["metadata"][name]
-
-        reference.rewrite_header(state, edit)
+        set_metadata(state, name, value)
         log = sha(log_path) if with_log else None
         assert main(train_argv(workdir, run, 15) + ["--resume"]) == 2
         err = capsys.readouterr().err
@@ -455,12 +450,14 @@ def write_bytes(path, data):
         fh.write(data)
 
 
-def set_format_version(path, version):
+def set_metadata(path, name, value):
+    """Record ``value`` under ``name`` in the checkpoint's metadata; None
+    removes the field."""
     def edit(header):
-        if version is None:
-            del header["metadata"]["format_version"]
+        if value is None:
+            del header["metadata"][name]
         else:
-            header["metadata"]["format_version"] = version
+            header["metadata"][name] = value
 
     reference.rewrite_header(path, edit)
 
@@ -494,13 +491,13 @@ class TestCheckpointValidation:
 
     def test_old_format_version_is_data_error(self, workdir, tmp_path, capsys):
         checkpoint = os.path.join(copy_run(workdir, tmp_path), "matcher")
-        set_format_version(checkpoint, 1)
+        set_metadata(checkpoint, "format_version", 1)
         assert self.evaluate(workdir, checkpoint) == 2
         assert "format version 1" in capsys.readouterr().err
 
     def test_missing_format_version_is_data_error(self, workdir, tmp_path, capsys):
         checkpoint = os.path.join(copy_run(workdir, tmp_path), "matcher")
-        set_format_version(checkpoint, None)
+        set_metadata(checkpoint, "format_version", None)
         assert self.evaluate(workdir, checkpoint) == 2
         assert "format version None" in capsys.readouterr().err
 
@@ -571,7 +568,7 @@ class TestCheckpointValidation:
     @pytest.mark.parametrize("version", [1, None])
     def test_resume_from_old_state_is_data_error(self, workdir, tmp_path, capsys, version):
         run = copy_run(workdir, tmp_path)
-        set_format_version(os.path.join(run, "matcher.state"), version)
+        set_metadata(os.path.join(run, "matcher.state"), "format_version", version)
         assert main(train_argv(workdir, run, 45) + ["--resume"]) == 2
         assert "format version %s" % version in capsys.readouterr().err
 
