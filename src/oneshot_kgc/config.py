@@ -7,6 +7,7 @@ written into each output directory so runs can be reproduced bit-for-bit.
 from __future__ import annotations
 
 import dataclasses
+import math
 import zlib
 from dataclasses import dataclass
 
@@ -53,12 +54,19 @@ class RunConfig:
     seed: int = 0
 
     def validate(self):
-        positive = ["dim", "embedding_epochs", "embedding_batch_size", "steps",
-                    "max_neighbors", "margin", "lr", "lr_half_every", "batch_size",
-                    "max_episodes", "eval_interval", "patience", "negatives_per_positive"]
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError("%s must be finite, got %r" % (f.name, value))
+        positive = ["dim", "embedding_epochs", "embedding_lr", "embedding_batch_size",
+                    "margin_embed", "steps", "max_neighbors", "margin", "lr", "lr_half_every",
+                    "batch_size", "max_episodes", "eval_interval", "patience",
+                    "negatives_per_positive"]
         for name in positive:
             if getattr(self, name) <= 0:
                 raise ConfigError("%s must be positive, got %r" % (name, getattr(self, name)))
+        if self.l2_reg < 0:
+            raise ConfigError("l2_reg must be non-negative, got %r" % self.l2_reg)
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError("dropout must be in [0, 1), got %r" % self.dropout)
         if self.hidden is None:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, NumericError
 
 MODELS = ("TransE", "DistMult", "ComplEx", "RESCAL")
 
@@ -133,7 +133,8 @@ def train_embeddings(triples, n_ent, n_rel, model="TransE", dim=100, epochs=1000
     """Train a baseline model with minibatch SGD; returns (table, epoch losses).
 
     ``triples`` is an (N, 3) array of (head, relation, tail) ids or a
-    sequence of :class:`~oneshot_kgc.graph_store.Triple`.
+    sequence of :class:`~oneshot_kgc.graph_store.Triple`. A run whose epoch
+    loss or final tables are not finite has diverged: a :class:`NumericError`.
     """
     if epochs <= 0:
         raise ConfigError("epochs must be positive")
@@ -148,19 +149,27 @@ def train_embeddings(triples, n_ent, n_rel, model="TransE", dim=100, epochs=1000
         raise DataError("no training triples")
 
     losses = []
-    for _ in range(epochs):
-        order = rng.permutation(data.shape[0])
-        epoch_loss = 0.0
-        for start in range(0, data.shape[0], batch_size):
-            batch = data[order[start:start + batch_size]]
-            neg = _sample_negatives(rng, batch, n_ent, corruption, neg_ratio)
-            if model == "TransE":
-                epoch_loss += _step_transe(table, batch, neg, neg_ratio, lr, margin)
-            elif model == "RESCAL":
-                epoch_loss += _step_rescal(table, batch, neg, neg_ratio, lr, margin)
-            else:
-                epoch_loss += _step_logistic(table, batch, neg, lr, reg)
-        losses.append(epoch_loss / data.shape[0])
+    # a diverged run overflows on the way; it is reported as a NumericError
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(1, epochs + 1):
+            order = rng.permutation(data.shape[0])
+            epoch_loss = 0.0
+            for start in range(0, data.shape[0], batch_size):
+                batch = data[order[start:start + batch_size]]
+                neg = _sample_negatives(rng, batch, n_ent, corruption, neg_ratio)
+                if model == "TransE":
+                    epoch_loss += _step_transe(table, batch, neg, neg_ratio, lr, margin)
+                elif model == "RESCAL":
+                    epoch_loss += _step_rescal(table, batch, neg, neg_ratio, lr, margin)
+                else:
+                    epoch_loss += _step_logistic(table, batch, neg, lr, reg)
+            losses.append(epoch_loss / data.shape[0])
+            if not np.isfinite(losses[-1]):
+                raise NumericError("%s training diverged: mean loss %r at epoch %d"
+                                   % (model, float(losses[-1]), epoch))
+    if not (np.isfinite(table.ent).all() and np.isfinite(table.rel).all()):
+        raise NumericError("%s training diverged: non-finite table values after epoch %d"
+                           % (model, epochs))
     table.metadata = {"model": model, "dim": dim, "seed": seed, "epochs": epochs,
                       "neg_ratio": neg_ratio, "corruption": corruption}
     return table, losses
@@ -194,65 +203,70 @@ def _row_blocks(E):
     return (E[start:start + RENORM_BLOCK] for start in range(0, E.shape[0], RENORM_BLOCK))
 
 
-def _renormalize_rows(E):
-    """Scale every row of ``E`` to unit length, one block of rows at a time.
+def _row_norms(x):
+    """Euclidean norm of each row of the 2-D array ``x``."""
+    return np.sqrt(np.einsum("ij,ij->i", x, x))
 
-    A row's norm does not depend on the other rows, so the blocks give the
-    same bits as one pass, without a temporary the size of the table.
-    """
+
+def _renormalize_rows(E):
+    """Scale every row of ``E`` to unit length, one block of rows at a time,
+    without a temporary the size of the table."""
     for block in _row_blocks(E):
-        block /= np.maximum(np.linalg.norm(block, axis=1, keepdims=True), 1e-12)
+        block /= np.maximum(_row_norms(block), 1e-12)[:, None]
 
 
 def _step_transe(table, pos, neg, k, lr, margin):
     """One SGD step of the margin loss, ``TRANSE_BLOCK`` positives at a time.
 
     ``neg`` holds k negatives per positive, in the positives' order. Every
-    block reads the table as it was before the step, and the scatters run
-    after the last block in the order of one whole-batch step, so the table
-    comes out the same bits as that step's. Working memory is the gradient
-    rows plus one block's temporaries.
+    block reads the table as it was before the step, and the gradients are
+    applied after the last block, so the tables equal a whole-batch step's
+    up to rounding. A positive's head and relation take one folded update:
+    its own -gp plus the +gn of each active negative that kept them (every
+    negative under tail corruption). Working memory is the gradient rows plus
+    one block's temporaries.
     """
     E, R = table.ent, table.rel
-    violations, positives, negatives = [], [], []
+    d = E.shape[1]
+    loss, blocks = 0.0, []
     for start in range(0, pos.shape[0], TRANSE_BLOCK):
         p = pos[start:start + TRANSE_BLOCK]
         n = neg[start * k:(start + p.shape[0]) * k]
-        hr = E[p[:, 0]] + R[p[:, 1]]
-        dp_vec = hr - E[p[:, 2]]
-        # a negative that kept its positive's head and relation (every one
-        # under tail corruption) reuses the positive's h + r row
-        dn_vec = np.repeat(hr, k, axis=0)
-        moved = np.flatnonzero(np.any(n[:, :2] != np.repeat(p[:, :2], k, axis=0), axis=1))
+        hr = E[p[:, 0]]
+        hr += R[p[:, 1]]
+        gp = E[p[:, 2]]
+        np.subtract(hr, gp, out=gp)
+        # a negative reuses its positive's h + r row unless it moved them
+        gn = E[n[:, 2]]
+        np.subtract(hr[:, None, :], gn.reshape(-1, k, d), out=gn.reshape(-1, k, d))
+        moved = np.flatnonzero((n[:, :2].reshape(-1, k, 2) != p[:, None, :2]).any(axis=2))
         if moved.size:
-            dn_vec[moved] = E[n[moved, 0]] + R[n[moved, 1]]
-        dn_vec -= E[n[:, 2]]
-        dp = np.linalg.norm(dp_vec, axis=1)
-        dn = np.linalg.norm(dn_vec, axis=1)
-        viol = margin + np.repeat(dp, k) - dn
+            gn[moved] = E[n[moved, 0]] + R[n[moved, 1]] - E[n[moved, 2]]
+        dp, dn = _row_norms(gp), _row_norms(gn)
+        viol = margin + dp[:, None] - dn.reshape(-1, k)
         active = viol > 0
-        violations.append(viol[active])
-        # gp = up * wp * lr, up the unit rows and wp each positive's count of
-        # active negatives; gn = un * lr over the active negatives only
-        gp = dp_vec
-        gp /= np.maximum(dp, 1e-12)[:, None]
-        gp *= np.count_nonzero(active.reshape(-1, k), axis=1).astype(float)[:, None]
-        gp *= lr
-        gn = dn_vec[active]
-        gn /= np.maximum(dn[active], 1e-12)[:, None]
-        gn *= lr
-        positives.append((p, gp))
-        negatives.append((n[active], gn))
-    loss = np.concatenate(violations).sum()
+        loss += viol[active].sum()
+        # one pass per row: gp = up * wp * lr, with wp each positive's count
+        # of active negatives, and gn = un * lr, 0 for an inactive negative
+        gp *= (np.count_nonzero(active, axis=1) * lr / np.maximum(dp, 1e-12))[:, None]
+        active = active.ravel()
+        gn *= np.where(active, lr / np.maximum(dn, 1e-12), 0.0)[:, None]
+        blocks.append((p, n, active, moved[active[moved]], gp, gn))
     if loss > 0:
-        # one whole-batch step's order: positive heads, tails, relations, then
-        # the active negatives' heads, tails, relations, each walking the
-        # blocks; a positive's h and r move by -gp and its t by +gp, and a
-        # negative's the other way round
-        for side, minus in ((positives, True), (negatives, False)):
-            for target, col, subtract in ((E, 0, minus), (E, 2, not minus), (R, 1, minus)):
-                for rows, grad in side:
-                    _scatter_add(target, rows[:, col], grad, subtract)
+        while blocks:   # popping frees each block's gradient rows once applied
+            p, n, active, moved, gp, gn = blocks.pop()
+            # a positive's t moves by +gp and a negative's by -gn
+            _scatter_add(E, p[:, 2], gp)
+            _scatter_add(E, n[active, 2], gn[active], subtract=True)
+            if moved.size:
+                _scatter_add(E, n[moved, 0], gn[moved])
+                _scatter_add(R, n[moved, 1], gn[moved])
+                gn[moved] = 0.0
+            # a positive's h and r move by -gp plus the +gn of its unmoved negatives
+            fold = gn.reshape(-1, k, d).sum(axis=1)
+            fold -= gp
+            _scatter_add(E, p[:, 0], fold)
+            _scatter_add(R, p[:, 1], fold)
         _renormalize_rows(E)
     return loss
 

@@ -1,11 +1,12 @@
 """Reference implementations and helpers that only the tests use.
 
-``step_transe`` is one TransE minibatch step as it was before the flat
-chunked scatter, the blocked renormalisation, the shared h + r rows and the
-step's row blocks, and ``sample_episode`` is the episode sampler as it was
-before the per-head skip tables: it filters the candidate pool with
-``np.isin`` once per positive. The program must give exactly the same
-tables and episodes.
+``step_transe`` is one plain whole-batch TransE minibatch step, as it was
+before the flat chunked scatter, the blocked renormalisation, the shared
+h + r rows, the step's row blocks and the folded head and relation updates;
+the program must give the same tables up to rounding. ``sample_episode`` is
+the episode sampler as it was before the per-head skip tables: it filters
+the candidate pool with ``np.isin`` once per positive. The program must give
+exactly the same episodes.
 
 ``build_candidates`` and ``detect_inverse_relations`` are the dataset
 builder's functions as they were before the type index and the sorted join:

@@ -196,6 +196,28 @@ class TestConfigSurface:
         with pytest.raises(ConfigError, match="%s must be positive, got %s" % (key, value)):
             RunConfig().set_option(key, value).validate()
 
+    @pytest.mark.parametrize("key", ["embedding_lr", "margin_embed", "l2_reg", "dropout",
+                                     "margin", "lr"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_float_is_config_error(self, workdir, tmp_path, capsys, key, value):
+        # nan <= 0 is False: without the finiteness check a NaN learning rate
+        # or margin passed every bound
+        argv = train_argv(workdir, str(tmp_path / "run"), 5) + ["--set", "%s=%s" % (key, value)]
+        assert main(argv) == 1
+        assert "%s must be finite, got %s" % (key, value) in capsys.readouterr().err
+        assert not os.path.exists(str(tmp_path / "run"))
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("embedding_lr", "0", "embedding_lr must be positive, got 0.0"),
+        ("margin_embed", "-1", "margin_embed must be positive, got -1.0"),
+        ("l2_reg", "-0.5", "l2_reg must be non-negative, got -0.5")])
+    def test_out_of_range_embedding_setting_is_config_error(self, key, value, message):
+        with pytest.raises(ConfigError, match=message):
+            RunConfig().set_option(key, value).validate()
+
+    def test_zero_l2_reg_is_valid(self):
+        assert RunConfig().set_option("l2_reg", "0").validate().l2_reg == 0.0
+
     @pytest.mark.parametrize("text", ["ture", "2", "", "y"])
     def test_unrecognised_boolean_is_config_error(self, workdir, tmp_path, capsys, text):
         argv = train_argv(workdir, str(tmp_path / "run"), 5) + \
@@ -584,6 +606,14 @@ class TestExitCodes:
                          "--model", "TransE", "--out", str(tmp_path / "table"),
                          "--set", "dim=" + value]) == 1
         capsys.readouterr()
+
+    def test_diverged_embedding_run_is_numeric_failure(self, workdir, tmp_path, capsys):
+        assert main(["train-embeddings", "--dataset", workdir["ds"], "--model", "DistMult",
+                     "--out", str(tmp_path / "table"), "--set", "dim=16",
+                     "--set", "embedding_lr=1000", "--set", "embedding_epochs=5"]) == 3
+        assert "numeric failure: DistMult training diverged: mean loss nan at epoch" \
+            in capsys.readouterr().err
+        assert not os.listdir(str(tmp_path))
 
     def test_evaluate_without_model_is_config_error(self, workdir):
         assert main(["evaluate", "--dataset", workdir["ds"]]) == 1

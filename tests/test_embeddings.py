@@ -9,7 +9,7 @@ from oneshot_kgc.embeddings import (EmbeddingTable, export_vectors, init_table,
                                     load_table, random_table, save_table,
                                     score, score_batch, score_candidates,
                                     train_embeddings)
-from oneshot_kgc.errors import ConfigError, DataError
+from oneshot_kgc.errors import ConfigError, DataError, NumericError
 from oneshot_kgc.graph_store import Triple
 
 
@@ -127,13 +127,35 @@ class TestTraining:
                                 epochs=5, seed=6)
         assert np.array_equal(a.ent, b.ent)
 
+    @pytest.mark.parametrize("model, lr", [("TransE", 1e308), ("DistMult", 1e100),
+                                           ("ComplEx", 1e100), ("RESCAL", 1e3)])
+    def test_diverged_run_is_numeric_error(self, model, lr):
+        # DistMult and ComplEx reach a NaN loss; TransE's and RESCAL's tables
+        # overflow while their losses stay finite
+        triples, n_ent, n_rel = self.toy_triples()
+        with pytest.raises(NumericError, match="%s training diverged: .* epoch" % model):
+            train_embeddings(triples, n_ent, n_rel, model=model, dim=16, epochs=5,
+                             lr=lr, seed=3)
+
     def test_empty_triples_rejected(self):
         with pytest.raises(DataError):
             train_embeddings([], 5, 2, epochs=1)
 
 
+def assert_matches_reference_step(table, ref, pos, neg, k, lr, margin):
+    """One step of the program and of the plain whole-batch reference agree:
+    the loss within 1e-12 relative and the tables within 1e-12 absolute (the
+    program folds and scales the gradient rows in another order)."""
+    loss = embeddings._step_transe(table, pos, neg, k, lr, margin)
+    assert loss > 0
+    assert loss == pytest.approx(reference.step_transe(ref, pos, neg, k, lr, margin),
+                                 rel=1e-12, abs=0)
+    assert np.abs(table.ent - ref.ent).max() <= 1e-12
+    assert np.abs(table.rel - ref.rel).max() <= 1e-12
+
+
 class TestTransEStep:
-    """The TransE step gives the reference step's tables bit for bit."""
+    """The TransE step gives the reference step's tables up to rounding."""
 
     @pytest.mark.parametrize("row_shape", [(8,), (2, 4), (5, 5)],
                              ids=["2-D", "ComplEx-3-D", "RESCAL-3-D"])
@@ -184,11 +206,45 @@ class TestTransEStep:
             pos = np.stack([rng.integers(40, size=600), rng.integers(n_rel, size=600),
                             rng.integers(40, size=600)], axis=1)
             neg = embeddings._sample_negatives(rng, pos, n_ent, mode, k)
-            loss = embeddings._step_transe(table, pos, neg, k, 0.05, 1.0)
-            assert loss > 0
-            assert loss == reference.step_transe(ref, pos, neg, k, 0.05, 1.0)
-            assert np.array_equal(table.ent, ref.ent)
-            assert np.array_equal(table.rel, ref.rel)
+            assert_matches_reference_step(table, ref, pos, neg, k, 0.05, 1.0)
+
+    def test_mixed_batch_matches_reference_step(self, monkeypatch):
+        # within one positive's negatives, some keep its head and relation
+        # (folded into its update) and some move the head, the relation or
+        # both (scattered on their own); 40 entities make rows repeat across
+        # positives, negatives and blocks
+        monkeypatch.setattr(embeddings, "TRANSE_BLOCK", 64)
+        monkeypatch.setattr(embeddings, "SCATTER_CHUNK", 50)
+        n_ent, n_rel, k, B = 40, 5, 4, 300
+        rng = np.random.default_rng(2)
+        table = init_table("TransE", n_ent, n_rel, 16, rng)
+        embeddings._renormalize_rows(table.ent)
+        ref = EmbeddingTable("TransE", 16, table.ent.copy(), table.rel.copy())
+        pos = np.stack([rng.integers(n_ent, size=B), rng.integers(n_rel, size=B),
+                        rng.integers(n_ent, size=B)], axis=1)
+        neg = np.repeat(pos, k, axis=0)
+        neg[:, 2] = rng.integers(n_ent, size=B * k)
+        move = rng.integers(4, size=B * k)          # 0 kept, 1 head, 2 relation, 3 both
+        neg[move % 2 == 1, 0] = rng.integers(n_ent, size=np.count_nonzero(move % 2 == 1))
+        neg[move >= 2, 1] = rng.integers(n_rel, size=np.count_nonzero(move >= 2))
+        moved = np.any(neg[:, :2] != np.repeat(pos[:, :2], k, axis=0), axis=1)
+        per_positive = np.count_nonzero(moved.reshape(B, k), axis=1)
+        assert np.any((per_positive > 0) & (per_positive < k))
+        for _ in range(3):
+            assert_matches_reference_step(table, ref, pos, neg, k, 0.05, 1.0)
+
+    def test_same_seed_gives_the_same_bits(self, monkeypatch):
+        monkeypatch.setattr(embeddings, "TRANSE_BLOCK", 64)
+        rng = np.random.default_rng(4)
+        triples = np.stack([rng.integers(500, size=900), rng.integers(9, size=900),
+                            rng.integers(500, size=900)], axis=1)
+        runs = [train_embeddings(triples, 500, 9, model="TransE", dim=16, epochs=3,
+                                 corruption="both", batch_size=400, seed=11)
+                for _ in range(2)]
+        (a, loss_a), (b, loss_b) = runs
+        assert loss_a == loss_b
+        assert np.array_equal(a.ent, b.ent)
+        assert np.array_equal(a.rel, b.rel)
 
 
 class TestExport:
